@@ -39,7 +39,7 @@
 
 #include "bench_util.hpp"
 #include "chaos/engine.hpp"
-#include "checkpoint/fork.hpp"
+#include "checkpoint/clone.hpp"
 #include "checkpoint/rivc.hpp"
 #include "checkpoint/scenario.hpp"
 #include "sim/simulation.hpp"
@@ -262,19 +262,18 @@ Result bench_seed_sweep(int jobs, bool* hashes_match) {
 // The checkpoint layer's costs, measured on the chaos reference workload
 // (seed 7, gapless) snapshotted mid-run: RIVC size, capture/save/load
 // wall time, restore (= re-execution to the snapshot time + byte-level
-// attestation), a bare fork(2) round-trip, and the headline — a
-// fork-per-seed sweep's wall-clock against from-scratch runs of the same
-// seeds. Attestation and fork-vs-fresh equality are hard gates: a
-// mismatch fails the bench regardless of --check.
+// attestation), and the headline — a clone-per-seed warm sweep's
+// wall-clock against from-scratch runs of the same seeds. Attestation and
+// clone-vs-fresh equality are hard gates: a mismatch fails the bench
+// regardless of --check.
 struct CheckpointResult {
   std::uint64_t snapshot_bytes{0};
   double capture_us{0};
   double save_us{0};
   double load_us{0};
   double restore_us{0};
-  double fork_us{0};
   double sweep_fresh_wall_s{0};
-  double sweep_forked_wall_s{0};
+  double sweep_cloned_wall_s{0};
   double sweep_speedup{0};
   bool ok{false};
 };
@@ -342,29 +341,12 @@ CheckpointResult bench_checkpoint(int jobs) {
   std::error_code ec;
   std::filesystem::remove(path, ec);
 
-  if (!checkpoint::fork_supported()) {
-    std::fprintf(stderr,
-                 "fork(2) unavailable: sweep speed-up not measured\n");
-    return out;
-  }
-
-  // Bare fork round-trip: address-space copy + pipe + wait.
-  out.fork_us = 1e18;
-  for (int i = 0; i < kIters; ++i) {
-    double t0 = now_wall();
-    checkpoint::ForkResult fr =
-        checkpoint::fork_run([] { return std::string("x"); });
-    double us = (now_wall() - t0) * 1e6;
-    if (!fr.ok) out.ok = false;
-    out.fork_us = std::min(out.fork_us, us);
-  }
-
-  // Fork-per-seed sweep vs from-scratch: same warm-up prefix, same plan
-  // seeds, outcome lines must match exactly. The configuration is
-  // warm-up-dominated (120 s shared prefix, 10 s of chaos per seed) —
-  // the shape the fork API exists for: from-scratch re-executes the
-  // prefix N times, the forked sweep once, so the speed-up holds even on
-  // a single core (it is eliminated work, not parallelism).
+  // Clone-per-seed warm sweep vs from-scratch: same warm-up prefix, same
+  // plan seeds, outcome lines must match exactly. The configuration is
+  // warm-up-dominated (120 s shared prefix, 10 s of chaos per seed) — the
+  // shape warm sweeps exist for: from-scratch re-executes the prefix N
+  // times, the warm sweep once, so the speed-up holds even on a single
+  // core (it is eliminated work, not parallelism).
   const std::vector<std::uint64_t> seeds = {3, 7, 11, 19};
   const Duration warmup = seconds(120);
   auto make_options = [] {
@@ -389,29 +371,34 @@ CheckpointResult bench_checkpoint(int jobs) {
   out.sweep_fresh_wall_s = now_wall() - t0;
 
   t0 = now_wall();
-  chaos::ChaosSession shared(make_options());
-  shared.run_to(TimePoint{} + warmup);
-  std::vector<checkpoint::ForkResult> forked = checkpoint::fork_sweep(
-      seeds.size(), static_cast<std::size_t>(jobs),
-      [&shared, &seeds, warmup](std::size_t i) {
-        shared.arm_plan(seeds[i], warmup);
-        shared.run_to(shared.run_end());
+  checkpoint::WarmImage img;
+  {
+    chaos::ChaosSession warm(make_options());
+    warm.run_to(TimePoint{} + warmup);
+    checkpoint::capture_warm_session(warm, img);
+  }
+  const std::vector<std::string> cloned = parallel_map<std::string>(
+      jobs, seeds.size(), [&img, &seeds, &make_options, warmup](std::size_t i) {
+        std::unique_ptr<chaos::ChaosSession> s =
+            checkpoint::clone_warm_session(img, make_options());
+        s->arm_plan(seeds[i], warmup);
+        s->run_to(s->run_end());
         chaos::ChaosResult r;
-        shared.finish(r);
+        s->finish(r);
         return chaos_outcome_line(r);
       });
-  out.sweep_forked_wall_s = now_wall() - t0;
+  out.sweep_cloned_wall_s = now_wall() - t0;
   for (std::size_t i = 0; i < seeds.size(); ++i) {
-    if (!forked[i].ok || forked[i].payload != fresh[i]) {
+    if (cloned[i] != fresh[i]) {
       std::fprintf(stderr,
-                   "fork-vs-fresh MISMATCH seed %llu: '%s' vs '%s'\n",
+                   "clone-vs-fresh MISMATCH seed %llu: '%s' vs '%s'\n",
                    static_cast<unsigned long long>(seeds[i]),
-                   forked[i].payload.c_str(), fresh[i].c_str());
+                   cloned[i].c_str(), fresh[i].c_str());
       out.ok = false;
     }
   }
-  out.sweep_speedup = out.sweep_forked_wall_s > 0
-                          ? out.sweep_fresh_wall_s / out.sweep_forked_wall_s
+  out.sweep_speedup = out.sweep_cloned_wall_s > 0
+                          ? out.sweep_fresh_wall_s / out.sweep_cloned_wall_s
                           : 0;
   return out;
 }
@@ -422,12 +409,9 @@ void print_checkpoint(const CheckpointResult& r) {
               "checkpoint",
               static_cast<unsigned long long>(r.snapshot_bytes),
               r.capture_us, r.save_us, r.load_us, r.restore_us);
-  if (r.sweep_speedup > 0)
-    std::printf("%-14s fork %.0fus   sweep fresh %.3fs vs forked %.3fs  "
-                "(%.2fx)\n",
-                "", r.fork_us, r.sweep_fresh_wall_s, r.sweep_forked_wall_s,
-                r.sweep_speedup);
-  std::printf("%-14s attestation + fork-vs-fresh: %s\n", "",
+  std::printf("%-14s sweep fresh %.3fs vs cloned %.3fs  (%.2fx)\n", "",
+              r.sweep_fresh_wall_s, r.sweep_cloned_wall_s, r.sweep_speedup);
+  std::printf("%-14s attestation + clone-vs-fresh: %s\n", "",
               r.ok ? "ok" : "FAILED");
 }
 
@@ -437,11 +421,11 @@ void append_checkpoint_json(std::string& out, const CheckpointResult& r) {
       buf, sizeof(buf),
       "    \"checkpoint\": {\"snapshot_bytes\": %llu, \"capture_us\": "
       "%.1f, \"save_us\": %.1f, \"load_us\": %.1f, \"restore_us\": %.1f, "
-      "\"fork_us\": %.1f, \"sweep_fresh_wall_s\": %.4f, "
-      "\"sweep_forked_wall_s\": %.4f, \"sweep_speedup\": %.2f}\n",
+      "\"sweep_fresh_wall_s\": %.4f, \"sweep_cloned_wall_s\": %.4f, "
+      "\"sweep_speedup\": %.2f}\n",
       static_cast<unsigned long long>(r.snapshot_bytes), r.capture_us,
-      r.save_us, r.load_us, r.restore_us, r.fork_us, r.sweep_fresh_wall_s,
-      r.sweep_forked_wall_s, r.sweep_speedup);
+      r.save_us, r.load_us, r.restore_us, r.sweep_fresh_wall_s,
+      r.sweep_cloned_wall_s, r.sweep_speedup);
   out += buf;
 }
 

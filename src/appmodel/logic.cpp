@@ -204,16 +204,7 @@ void LogicInstance::clone_state(BinaryWriter& w) const {
         for (const devices::SensorEvent& e : stream.pending->events)
           devices::encode_clone(w, e);
       }
-      TimePoint t;
-      std::uint64_t seq;
-      bool live = stream.periodic_timer != 0 &&
-                  timers_.sim().timer_info(stream.periodic_timer, &t, &seq);
-      w.u8(live ? 1 : 0);
-      if (live) {
-        w.u64(stream.periodic_timer);
-        w.time_point(t);
-        w.u64(seq);
-      }
+      timers_.sim().encode_timer(w, stream.periodic_timer);
     }
   }
   w.u64(local_kv_.size());
@@ -256,13 +247,9 @@ void LogicInstance::restore_clone(BinaryReader& r) {
           pending.events.push_back(devices::decode_clone_event(r));
         stream.pending = std::move(pending);
       }
-      if (r.u8() != 0) {
-        sim::TimerId tid = r.u64();
-        TimePoint t = r.time_point();
-        std::uint64_t seq = r.u64();
+      if (sim::TimerId id = sim::Simulation::decode_timer(r)) {
         stream.periodic_timer = timers_.restore_at(
-            tid, t, seq,
-            [this, &o = op, &s = stream] { periodic_fire(o, s); });
+            id, [this, &o = op, &s = stream] { periodic_fire(o, s); });
       }
     }
   }

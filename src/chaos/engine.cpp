@@ -27,9 +27,21 @@ struct ChaosSession::Impl {
   std::optional<workload::HomeDeployment> home;
   std::optional<InvariantChecker> checker;
   std::optional<FaultInjector> injector;
+  bool armed{false};
 };
 
 ChaosSession::ChaosSession(EngineOptions options,
+                           std::vector<std::unique_ptr<Invariant>> extra)
+    : ChaosSession(std::move(options), Unstarted{}, std::move(extra)) {
+  Impl& im = *impl_;
+  if (!im.options.defer_plan) arm_plan(im.options.scenario.seed);
+  if (im.options.metrics_period.us > 0)
+    im.home->enable_metric_snapshots(im.options.metrics_period);
+  im.home->start();
+  im.checker->start(im.options.check_interval);
+}
+
+ChaosSession::ChaosSession(EngineOptions options, Unstarted,
                            std::vector<std::unique_ptr<Invariant>> extra)
     : impl_(std::make_unique<Impl>()) {
   Impl& im = *impl_;
@@ -128,18 +140,13 @@ ChaosSession::ChaosSession(EngineOptions options,
   im.injector.emplace(home, im.trace);
   im.injector->set_integrity_armed(im.defense);
   im.end = home.sim().now() + im.plan_opt.horizon + seconds(1);
-  if (!im.options.defer_plan) arm_plan(sc.seed);
-
-  // --- start --------------------------------------------------------------
-  if (im.options.metrics_period.us > 0)
-    home.enable_metric_snapshots(im.options.metrics_period);
-  home.start();
-  im.checker->start(im.options.check_interval);
 }
 
 ChaosSession::~ChaosSession() = default;
 
 workload::HomeDeployment& ChaosSession::home() { return *impl_->home; }
+
+const EngineOptions& ChaosSession::options() const { return impl_->options; }
 
 TimePoint ChaosSession::run_end() const { return impl_->end; }
 
@@ -156,6 +163,7 @@ void ChaosSession::arm_plan(std::uint64_t plan_seed, Duration offset) {
                   " procs=" + std::to_string(sc.n_processes) +
                   " receivers=" + std::to_string(sc.receivers) +
                   " horizon=" + std::to_string(im.plan_opt.horizon.us) + "us");
+  im.armed = true;
   InvariantChecker* checker = &*im.checker;
   im.injector->arm(
       plan,
@@ -230,8 +238,17 @@ std::shared_ptr<riv::trace::Recorder> ChaosSession::flight() const {
 
 const TraceRecorder& ChaosSession::fault_trace() const { return impl_->trace; }
 
-void ChaosSession::checkpoint_state(BinaryWriter& w) const {
-  impl_->injector->checkpoint_state(w);
+void ChaosSession::clone_state(BinaryWriter& w) const {
+  w.u8(impl_->armed ? 1 : 0);
+  impl_->injector->clone_state(w);
+  impl_->checker->clone_state(w);
+}
+
+void ChaosSession::restore_clone(BinaryReader& r) {
+  RIV_ASSERT(r.u8() == 0, "a chaos session is never cloned after arm_plan");
+  RIV_ASSERT(!impl_->armed, "clone restore target already armed a plan");
+  impl_->injector->restore_clone(r);
+  impl_->checker->restore_clone(r);
 }
 
 ChaosEngine::ChaosEngine(EngineOptions options)

@@ -20,6 +20,7 @@
 #include "trace/trace.hpp"
 
 namespace riv {
+class BinaryReader;
 class BinaryWriter;
 namespace workload {
 class HomeDeployment;
@@ -70,10 +71,11 @@ struct EngineOptions {
   // their emissions whenever Byzantine chaos is on, so the attacker model
   // is identical in both modes; only the verification differs.
   bool byzantine_defense{true};
-  // Fork-per-seed sweeps: build the deployment but generate/arm NO fault
-  // plan. The caller warms the home up, then calls
-  // ChaosSession::arm_plan(seed, offset) — typically once per forked
-  // child — so many divergent fault schedules share one warm-up prefix.
+  // Warm sweeps: build the deployment but generate/arm NO fault plan.
+  // The caller warms the home up, then calls
+  // ChaosSession::arm_plan(seed, offset) — typically once per clone of
+  // the warm session — so many divergent fault schedules share one
+  // warm-up prefix.
   bool defer_plan{false};
 };
 
@@ -132,12 +134,19 @@ class ChaosSession {
  public:
   explicit ChaosSession(EngineOptions options,
                         std::vector<std::unique_ptr<Invariant>> extra = {});
+  // Build the deployment, checker and injector but start nothing and arm
+  // no plan: the restore target of a warm clone
+  // (checkpoint::clone_warm_session).
+  struct Unstarted {};
+  ChaosSession(EngineOptions options, Unstarted,
+               std::vector<std::unique_ptr<Invariant>> extra = {});
   ~ChaosSession();
   ChaosSession(const ChaosSession&) = delete;
   ChaosSession& operator=(const ChaosSession&) = delete;
 
   // The deployment under test (checkpoint capture reads it).
   workload::HomeDeployment& home();
+  const EngineOptions& options() const;
 
   // Virtual end of the scheduled run: plan horizon + 1s of settle time,
   // measured from the moment the plan was armed.
@@ -153,9 +162,9 @@ class ChaosSession {
   void finish(ChaosResult& result);
 
   // defer_plan mode: generate the plan for `plan_seed` and arm it with
-  // every action shifted by `offset`. Fork-per-seed sweeps call this once
-  // per forked child after a shared fault-free warm-up, so divergent
-  // schedules reuse one warm prefix.
+  // every action shifted by `offset`. Warm sweeps call this once per
+  // clone after a shared fault-free warm-up, so divergent schedules reuse
+  // one warm prefix.
   void arm_plan(std::uint64_t plan_seed, Duration offset = {});
 
   // The flight recorder (null unless EngineOptions::flight was set).
@@ -164,9 +173,16 @@ class ChaosSession {
   // The human-readable fault trace accumulated so far.
   const TraceRecorder& fault_trace() const;
 
-  // Serialize the injector's fault-plan cursors — the "chaos.injector"
-  // checkpoint section.
-  void checkpoint_state(BinaryWriter& w) const;
+  // --- state capture (DESIGN.md §13) ---------------------------------
+  // The session's share of the one state encoding (RIVC section
+  // "chaos.session"): whether a plan is armed, the injector's plan
+  // cursors, and the checker's cursors and tick timer. The home itself is
+  // encoded by checkpoint::capture_warm_home.
+  void clone_state(BinaryWriter& w) const;
+  // Restore into an Unstarted session, inside the home's kernel restore
+  // window. An armed plan's pending actions are closures that are not
+  // encoded, so a session is never cloned after arm_plan (asserted).
+  void restore_clone(BinaryReader& r);
 
  private:
   struct Impl;

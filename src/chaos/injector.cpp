@@ -1,5 +1,6 @@
 #include "chaos/injector.hpp"
 
+#include <array>
 #include <vector>
 
 #include "trace/trace.hpp"
@@ -19,7 +20,7 @@ void FaultInjector::arm(const FaultPlan& plan, QuiesceHook on_quiesce_end,
   bool any_corrupt = false;
   for (const FaultAction& action : plan.actions) {
     any_corrupt |= action.kind == FaultKind::kCorruptBegin;
-    // Fork-per-seed sweeps arm a plan after a shared warm-up; `offset`
+    // Warm sweeps arm a plan after a shared warm-up; `offset`
     // shifts the whole schedule so plan times stay relative to arming.
     FaultAction shifted = action;
     shifted.at = shifted.at + offset;
@@ -284,6 +285,28 @@ void FaultInjector::apply(const FaultAction& action) {
 
   if (action.kind == FaultKind::kQuiesceEnd && on_quiesce_end_)
     on_quiesce_end_(window_start_);
+}
+
+void FaultInjector::restore_clone(BinaryReader& r) {
+  seq_ = r.u64();
+  injected_ = r.u64();
+  noops_ = r.u64();
+  attacks_ = r.u64();
+  integrity_ = r.u8() != 0;
+  std::array<std::uint64_t, 4> state;
+  for (std::uint64_t& word : state) word = r.u64();
+  byz_rng_.set_state(state);
+  window_start_ = r.time_point();
+  corrupt_pid_.reset();
+  if (r.u8() != 0) corrupt_pid_ = r.process_id();
+  corrupt_fault_id_ = r.u64();
+  base_link_loss_.clear();
+  const std::uint64_t n_links = r.u64();
+  for (std::uint64_t i = 0; i < n_links; ++i) {
+    const SensorId sensor = r.sensor_id();
+    const ProcessId process = r.process_id();
+    base_link_loss_[{sensor, process}] = r.f64();
+  }
 }
 
 }  // namespace riv::chaos

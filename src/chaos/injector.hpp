@@ -47,7 +47,7 @@ class FaultInjector {
   void set_integrity_armed(bool armed) { integrity_ = armed; }
 
   // Schedule every action of `plan`, each shifted by `offset` (zero for a
-  // normal run; fork-per-seed sweeps arm after a shared warm-up). Call
+  // normal run; warm sweeps arm after a shared warm-up). Call
   // once, before or after HomeDeployment::start(), but before running the
   // simulation past the first shifted action.
   void arm(const FaultPlan& plan, QuiesceHook on_quiesce_end = {},
@@ -61,10 +61,13 @@ class FaultInjector {
   // interposer mutate/dup/drop events) — each emitted a kByzantine marker.
   std::size_t attacks() const { return attacks_; }
 
-  // Serialize the injector's plan cursors — action sequence, applied/noop
-  // split, attack randomness stream, quiescence window, link-loss
-  // baselines, corrupt-window state — for a checkpoint.
-  void checkpoint_state(BinaryWriter& w) const {
+  // --- state capture (DESIGN.md §13) ---------------------------------
+  // The plan cursors — action sequence, applied/noop split, attack
+  // randomness stream, quiescence window, link-loss baselines,
+  // corrupt-window state. The plan's pending actions are kernel timers
+  // whose closures are not encoded, so restore_clone targets an injector
+  // that was never armed (ChaosSession asserts it).
+  void clone_state(BinaryWriter& w) const {
     w.u64(seq_);
     w.u64(injected_);
     w.u64(noops_);
@@ -82,6 +85,7 @@ class FaultInjector {
       w.f64(loss);
     }
   }
+  void restore_clone(BinaryReader& r);
 
  private:
   void apply(const FaultAction& action);

@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <functional>
 
+#include "common/assert.hpp"
+
 namespace riv::chaos {
 
 std::string to_string(const Violation& v) {
@@ -170,6 +172,23 @@ void NoForgedActuation::check(const CheckContext& ctx,
   }
 }
 
+void NoForgedActuation::clone_state(BinaryWriter& w) const {
+  w.u64(scanned_.size());
+  for (const auto& [aid, cursor] : scanned_) {
+    w.actuator_id(aid);
+    w.u64(cursor);
+  }
+}
+
+void NoForgedActuation::restore_clone(BinaryReader& r) {
+  scanned_.clear();
+  const std::uint64_t n = r.u64();
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const ActuatorId aid = r.actuator_id();
+    scanned_[aid] = r.u64();
+  }
+}
+
 void NoOriginSeqRegression::check(const CheckContext& ctx,
                                   std::vector<Violation>& out) const {
   workload::HomeDeployment& home = *ctx.home;
@@ -212,18 +231,65 @@ CheckContext InvariantChecker::context(TimePoint cutoff, bool final_check) {
 }
 
 void InvariantChecker::start(Duration interval) {
+  interval_ = interval;
+  make_tick();
+  tick_timer_ = home_->sim().schedule_after(interval_, tick_);
+}
+
+void InvariantChecker::make_tick() {
   alive_ = std::make_shared<bool>(true);
   std::shared_ptr<bool> alive = alive_;
   sim::Simulation& sim = home_->sim();
   // The closure lives in tick_, not in a shared_ptr it captures (which
   // would never be reclaimed); queued copies check `alive` before
   // touching `this`, so destruction mid-run is harmless.
-  tick_ = [this, alive, interval, &sim] {
+  tick_ = [this, alive, &sim] {
     if (!*alive) return;
     check_continuous();
-    sim.schedule_after(interval, tick_);
+    tick_timer_ = sim.schedule_after(interval_, tick_);
   };
-  sim.schedule_after(interval, tick_);
+}
+
+void InvariantChecker::clone_state(BinaryWriter& w) const {
+  w.u64(checks_run_);
+  w.u64(violations_.size());
+  for (const Violation& v : violations_) {
+    w.str(v.invariant);
+    w.time_point(v.at);
+    w.str(v.detail);
+  }
+  w.u64(invariants_.size());
+  for (const auto& inv : invariants_) {
+    w.str(inv->name());
+    inv->clone_state(w);
+  }
+  w.duration(interval_);
+  home_->sim().encode_timer(w, tick_timer_);
+}
+
+void InvariantChecker::restore_clone(BinaryReader& r) {
+  RIV_ASSERT(!alive_, "clone restore requires a never-started checker");
+  checks_run_ = r.u64();
+  violations_.clear();
+  const std::uint64_t n_violations = r.u64();
+  for (std::uint64_t i = 0; i < n_violations; ++i) {
+    Violation v;
+    v.invariant = r.str();
+    v.at = r.time_point();
+    v.detail = r.str();
+    violations_.push_back(std::move(v));
+  }
+  RIV_ASSERT(r.u64() == invariants_.size(),
+             "clone restore: invariant count mismatch");
+  for (const auto& inv : invariants_) {
+    RIV_ASSERT(r.str() == inv->name(), "clone restore: invariant mismatch");
+    inv->restore_clone(r);
+  }
+  interval_ = r.duration();
+  if (sim::TimerId id = sim::Simulation::decode_timer(r)) {
+    make_tick();
+    tick_timer_ = home_->sim().schedule_restored(id, tick_);
+  }
 }
 
 void InvariantChecker::check_continuous() {

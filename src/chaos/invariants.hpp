@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "chaos/trace.hpp"
+#include "common/codec.hpp"
 #include "workload/deployment.hpp"
 
 namespace riv::chaos {
@@ -58,6 +59,10 @@ class Invariant {
   virtual bool continuous() const = 0;
   virtual void check(const CheckContext& ctx,
                      std::vector<Violation>& out) const = 0;
+  // Scan cursors, for warm clones (DESIGN.md §13). Stateless invariants
+  // encode nothing.
+  virtual void clone_state(BinaryWriter& /*w*/) const {}
+  virtual void restore_clone(BinaryReader& /*r*/) {}
 };
 
 // §4.2 "no duplicates to the app": no single logic-instance epoch is ever
@@ -74,6 +79,8 @@ class NoDuplicateDelivery : public Invariant {
   bool continuous() const override { return true; }
   void check(const CheckContext& ctx,
              std::vector<Violation>& out) const override;
+  void clone_state(BinaryWriter& w) const override { w.u64(reported_); }
+  void restore_clone(BinaryReader& r) override { reported_ = r.u64(); }
 
  private:
   // The metric is cumulative; report each duplicate once, not per tick.
@@ -137,6 +144,8 @@ class NoForgedActuation : public Invariant {
   bool continuous() const override { return true; }
   void check(const CheckContext& ctx,
              std::vector<Violation>& out) const override;
+  void clone_state(BinaryWriter& w) const override;
+  void restore_clone(BinaryReader& r) override;
 
  private:
   // Actuator histories are append-only; remember how far we scanned.
@@ -179,8 +188,17 @@ class InvariantChecker {
   const std::vector<Violation>& violations() const { return violations_; }
   std::size_t checks_run() const { return checks_run_; }
 
+  // --- state capture (DESIGN.md §13) ---------------------------------
+  // Check count, violations so far, every invariant's cursors and the
+  // periodic tick timer. Restore targets a checker with the same
+  // invariants (asserted by name) that was never started.
+  void clone_state(BinaryWriter& w) const;
+  void restore_clone(BinaryReader& r);
+
  private:
   CheckContext context(TimePoint cutoff, bool final_check);
+  // Install tick_, the periodic continuous-check closure.
+  void make_tick();
 
   workload::HomeDeployment* home_;
   AppId app_;
@@ -191,6 +209,8 @@ class InvariantChecker {
   // Lets the periodic timer lambda outlive `this` harmlessly.
   std::shared_ptr<bool> alive_;
   std::function<void()> tick_;
+  Duration interval_{};
+  sim::TimerId tick_timer_{0};
 };
 
 }  // namespace riv::chaos

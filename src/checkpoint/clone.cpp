@@ -2,10 +2,9 @@
 
 #include <utility>
 
+#include "chaos/engine.hpp"
 #include "common/assert.hpp"
 #include "common/codec.hpp"
-#include "checkpoint/rivc.hpp"
-#include "checkpoint/scenario.hpp"
 #include "metrics/metrics.hpp"
 #include "workload/deployment.hpp"
 
@@ -93,84 +92,21 @@ void decode_registry(BinaryReader& r, metrics::Registry& reg) {
   }
 }
 
-}  // namespace
-
-std::size_t WarmImage::bytes() const {
-  std::size_t total = kernel.size() + metrics.size() + network.size() +
-                      devices.size() + attest.size();
-  for (const auto& p : procs) total += p.size();
-  return total;
+// The bus handler set is not encoded: a process is subscribed iff it is
+// up, and a restored process re-subscribes in its own restore. Checked on
+// every capture and after every apply.
+void check_subscriptions(workload::HomeDeployment& home) {
+  std::vector<ProcessId> up;
+  for (ProcessId p : home.processes())
+    if (home.process(p).up()) up.push_back(p);
+  RIV_ASSERT(home.bus().subscribers() == up,
+             "bus subscriptions differ from the set of up processes");
 }
 
-void WarmImage::clear() {
-  seed = 0;
-  at = {};
-  n_processes = 0;
-  n_sensors = 0;
-  kernel.clear();
-  metrics.clear();
-  network.clear();
-  devices.clear();
-  for (auto& p : procs) p.clear();
-  attest.clear();
-}
-
-void enable_clone_tracking(workload::HomeDeployment& home) {
-  home.net().set_clone_tracking(true);
-  home.bus().set_clone_tracking(true);
-}
-
-void capture_warm_home(workload::HomeDeployment& home, std::uint64_t seed,
-                       WarmImage& out, bool with_attest) {
-  out.seed = seed;
-  out.at = home.sim().now();
-  out.n_processes = static_cast<std::uint32_t>(home.processes().size());
-  out.n_sensors = static_cast<std::uint32_t>(home.bus().sensors().size());
-  {
-    BinaryWriter w(std::move(out.kernel));
-    home.sim().clone_state(w);
-    out.kernel = w.take();
-  }
-  {
-    BinaryWriter w(std::move(out.metrics));
-    encode_registry(w, home.shared_metrics());
-    for (ProcessId p : home.processes())
-      encode_registry(w, home.process_metrics(p));
-    out.metrics = w.take();
-  }
-  {
-    BinaryWriter w(std::move(out.network));
-    home.net().clone_state(w);
-    out.network = w.take();
-  }
-  {
-    BinaryWriter w(std::move(out.devices));
-    home.bus().clone_state(w);
-    out.devices = w.take();
-  }
-  out.procs.resize(out.n_processes);
-  std::size_t i = 0;
-  for (ProcessId p : home.processes()) {
-    BinaryWriter w(std::move(out.procs[i]));
-    home.process(p).clone_state(w);
-    out.procs[i++] = w.take();
-  }
-  out.attest.clear();
-  if (with_attest) {
-    Snapshot snap;
-    capture_deployment(home, snap);
-    BinaryWriter w(std::move(out.attest));
-    w.u32(static_cast<std::uint32_t>(snap.sections.size()));
-    for (const Section& s : snap.sections) {
-      w.str(s.name);
-      w.bytes(s.payload);
-    }
-    out.attest = w.take();
-  }
-}
-
-bool apply_warm_home(const WarmImage& img, workload::HomeDeployment& target,
-                     std::uint64_t seed, std::string* error) {
+// The identity gate plus every home section, leaving the kernel restore
+// window open for the caller's own timers (a session's checker tick).
+bool begin_apply(const WarmImage& img, workload::HomeDeployment& target,
+                 std::uint64_t seed, std::string* error) {
   // Deployment-level identity gate: rejected cleanly, before any restore
   // call touches the target. (Deeper structural divergence with matching
   // counts is a build/scenario bug and trips component asserts instead.)
@@ -227,33 +163,133 @@ bool apply_warm_home(const WarmImage& img, workload::HomeDeployment& target,
     target.process(p).restore_clone(r);
     RIV_ASSERT(r.ok() && r.remaining() == 0, "clone restore: process blob");
   }
-  target.sim().finish_restore();
   if (error) error->clear();
+  return true;
+}
+
+void finish_apply(workload::HomeDeployment& target) {
+  target.sim().finish_restore();
+  check_subscriptions(target);
+}
+
+}  // namespace
+
+std::size_t WarmImage::bytes() const {
+  std::size_t total = kernel.size() + metrics.size() + network.size() +
+                      devices.size() + chaos.size();
+  for (const auto& p : procs) total += p.size();
+  return total;
+}
+
+void WarmImage::clear() {
+  seed = 0;
+  at = {};
+  n_processes = 0;
+  n_sensors = 0;
+  kernel.clear();
+  metrics.clear();
+  network.clear();
+  devices.clear();
+  for (auto& p : procs) p.clear();
+  chaos.clear();
+}
+
+std::vector<Section> image_sections(const WarmImage& img,
+                                    const workload::HomeDeployment& home) {
+  std::vector<Section> out;
+  out.reserve(img.procs.size() + 5);
+  out.push_back({"sim.kernel", img.kernel});
+  out.push_back({"metrics", img.metrics});
+  out.push_back({"net.wifi", img.network});
+  out.push_back({"bus.devices", img.devices});
+  for (std::size_t i = 0; i < img.procs.size(); ++i)
+    out.push_back({"proc." + std::to_string(home.processes()[i].value),
+                   img.procs[i]});
+  if (!img.chaos.empty()) out.push_back({"chaos.session", img.chaos});
+  return out;
+}
+
+void enable_clone_tracking(workload::HomeDeployment& /*home*/) {}
+
+void capture_warm_home(workload::HomeDeployment& home, std::uint64_t seed,
+                       WarmImage& out, bool /*with_attest*/) {
+  check_subscriptions(home);
+  out.seed = seed;
+  out.at = home.sim().now();
+  out.n_processes = static_cast<std::uint32_t>(home.processes().size());
+  out.n_sensors = static_cast<std::uint32_t>(home.bus().sensors().size());
+  {
+    BinaryWriter w(std::move(out.kernel));
+    home.sim().clone_state(w);
+    out.kernel = w.take();
+  }
+  {
+    BinaryWriter w(std::move(out.metrics));
+    encode_registry(w, home.shared_metrics());
+    for (ProcessId p : home.processes())
+      encode_registry(w, home.process_metrics(p));
+    out.metrics = w.take();
+  }
+  {
+    BinaryWriter w(std::move(out.network));
+    home.net().clone_state(w);
+    out.network = w.take();
+  }
+  {
+    BinaryWriter w(std::move(out.devices));
+    home.bus().clone_state(w);
+    out.devices = w.take();
+  }
+  out.procs.resize(out.n_processes);
+  std::size_t i = 0;
+  for (ProcessId p : home.processes()) {
+    BinaryWriter w(std::move(out.procs[i]));
+    home.process(p).clone_state(w);
+    out.procs[i++] = w.take();
+  }
+  out.chaos.clear();
+}
+
+bool apply_warm_home(const WarmImage& img, workload::HomeDeployment& target,
+                     std::uint64_t seed, std::string* error) {
+  if (!begin_apply(img, target, seed, error)) return false;
+  finish_apply(target);
   return true;
 }
 
 std::string attest_clone(const WarmImage& img,
                          workload::HomeDeployment& clone) {
-  RIV_ASSERT(!img.attest.empty(),
-             "attest_clone requires a capture taken with with_attest");
+  WarmImage cur;
+  capture_warm_home(clone, img.seed, cur);
   Snapshot ref;
   ref.at = img.at;
-  {
-    BinaryReader r(img.attest);
-    const std::uint32_t n = r.u32();
-    ref.sections.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      Section s;
-      s.name = r.str();
-      s.payload = r.bytes();
-      ref.sections.push_back(std::move(s));
-    }
-    RIV_ASSERT(r.ok() && r.remaining() == 0, "clone attest: reference blob");
-  }
-  Snapshot cur;
-  cur.at = img.at;
-  capture_deployment(clone, cur);
-  return diff_snapshots(ref, cur);
+  ref.sections = image_sections(img, clone);
+  Snapshot now;
+  now.at = cur.at;
+  now.sections = image_sections(cur, clone);
+  return diff_snapshots(ref, now);
+}
+
+void capture_warm_session(chaos::ChaosSession& session, WarmImage& out) {
+  capture_warm_home(session.home(), session.options().scenario.seed, out);
+  BinaryWriter w(std::move(out.chaos));
+  session.clone_state(w);
+  out.chaos = w.take();
+}
+
+std::unique_ptr<chaos::ChaosSession> clone_warm_session(
+    const WarmImage& img, chaos::EngineOptions options) {
+  auto session = std::make_unique<chaos::ChaosSession>(
+      std::move(options), chaos::ChaosSession::Unstarted{});
+  workload::HomeDeployment& home = session->home();
+  std::string err;
+  RIV_ASSERT(begin_apply(img, home, session->options().scenario.seed, &err),
+             err.c_str());
+  BinaryReader r(img.chaos);
+  session->restore_clone(r);
+  RIV_ASSERT(r.ok() && r.remaining() == 0, "clone restore: session blob");
+  finish_apply(home);
+  return session;
 }
 
 }  // namespace riv::checkpoint

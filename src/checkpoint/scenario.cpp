@@ -169,10 +169,8 @@ class ChaosScenario final : public Scenario {
   }
 
  protected:
-  void extra_sections(Snapshot& snap) override {
-    BinaryWriter w;
-    session_->checkpoint_state(w);
-    snap.sections.push_back({"chaos.injector", w.take()});
+  void capture_image(WarmImage& img) override {
+    capture_warm_session(*session_, img);
   }
 
  private:
@@ -212,33 +210,14 @@ Snapshot Scenario::capture() {
     snap.trace_records = rec->size();
     snap.trace_hash = rec->hash();
   }
-  capture_deployment(h, snap);
-  extra_sections(snap);
+  WarmImage img;
+  capture_image(img);
+  snap.sections = image_sections(img, h);
   return snap;
 }
 
-void capture_deployment(workload::HomeDeployment& home, Snapshot& snap) {
-  {
-    BinaryWriter w;
-    home.sim().checkpoint_state(w);
-    snap.sections.push_back({"sim.kernel", w.take()});
-  }
-  {
-    BinaryWriter w;
-    home.net().checkpoint_state(w);
-    snap.sections.push_back({"net.wifi", w.take()});
-  }
-  {
-    BinaryWriter w;
-    home.bus().checkpoint_state(w);
-    snap.sections.push_back({"bus.devices", w.take()});
-  }
-  for (ProcessId p : home.processes()) {
-    BinaryWriter w;
-    home.process(p).checkpoint_state(w);
-    snap.sections.push_back(
-        {"proc." + std::to_string(p.value), w.take()});
-  }
+void Scenario::capture_image(WarmImage& img) {
+  capture_warm_home(home(), seed(), img);
 }
 
 std::unique_ptr<Scenario> make_golden_scenario(const std::string& name) {

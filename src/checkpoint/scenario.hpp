@@ -3,17 +3,16 @@
 // A Scenario is a named, seeded, parameterized deployment run whose whole
 // behaviour is a pure function of (name, seed, params) — the golden-trace
 // scenarios and any chaos-engine configuration qualify. Checkpointing one
-// is capture(): serialize the logical state of every layer into named
-// RIVC sections plus the flight-trace position.
+// is capture(): the scenario's WarmImage (checkpoint/clone.hpp, the one
+// state encoding, timers included) as named RIVC sections plus the
+// flight-trace position.
 //
-// restore() is re-execution + attestation, not deserialization: timer
-// callbacks are closures and cannot live in a file, so the only faithful
-// way back to a mid-run state is to rebuild the scenario from its
+// restore() is attested re-execution: rebuild the scenario from its
 // identity, run it deterministically to the snapshot time, and then
 // byte-compare a fresh capture against the stored sections. A match
-// proves "restored ≡ uninterrupted" for every captured layer; a mismatch
-// names the first divergent section and byte. The restored scenario is
-// live and can keep running (riv_replay, chaos_run --from-checkpoint).
+// proves "restored ≡ uninterrupted" for every layer; a mismatch names the
+// first divergent section and byte. The restored scenario is live and can
+// keep running (riv_replay, chaos_run --from-checkpoint).
 #pragma once
 
 #include <memory>
@@ -21,6 +20,7 @@
 #include <vector>
 
 #include "chaos/engine.hpp"
+#include "checkpoint/clone.hpp"
 #include "checkpoint/rivc.hpp"
 
 namespace riv::trace {
@@ -63,19 +63,17 @@ class Scenario {
   // finish() (tools print violations / exit status from it).
   virtual const chaos::ChaosResult* chaos_result() const { return nullptr; }
 
-  // Serialize the current logical state into a snapshot: scenario
-  // identity + virtual time + flight-trace position + one section per
-  // layer ("sim.kernel", "net.wifi", "bus.devices", "proc.<pid>", plus
-  // scenario extras such as "chaos.injector").
+  // Serialize the current state into a snapshot: scenario identity +
+  // virtual time + flight-trace position + the image_sections() of the
+  // scenario's WarmImage ("sim.kernel", "metrics", "net.wifi",
+  // "bus.devices", "proc.<pid>", and "chaos.session" for chaos runs).
   Snapshot capture();
 
  protected:
-  // Scenario-private sections appended after the deployment's.
-  virtual void extra_sections(Snapshot& /*snap*/) {}
+  // The scenario's state in the one encoding; chaos scenarios add their
+  // session cursors.
+  virtual void capture_image(WarmImage& img);
 };
-
-// The deployment-level sections shared by every scenario.
-void capture_deployment(workload::HomeDeployment& home, Snapshot& snap);
 
 // The four blessed golden-trace scenarios: "gapless_ring", "gap_chain",
 // "failover" (home runs, seed 42), "chaos_flight" (engine run, seed 7).

@@ -124,21 +124,6 @@ void GapStream::on_epoch_boundary(std::uint32_t epoch) {
   schedule_epoch(epoch + 1);
 }
 
-void GapStream::clone_state(BinaryWriter& w) const {
-  checkpoint_state(w);
-  TimePoint t;
-  std::uint64_t seq;
-  bool epoch_live = epoch_timer_ != 0 &&
-                    ctx_.timers->sim().timer_info(epoch_timer_, &t, &seq);
-  w.u8(epoch_live ? 1 : 0);
-  if (epoch_live) {
-    w.u64(epoch_timer_);
-    w.time_point(t);
-    w.u64(seq);
-    w.u32(epoch_pending_);
-  }
-}
-
 void GapStream::restore_clone(BinaryReader& r) {
   first_epoch_ = r.u32();
   recent_order_.clear();
@@ -158,14 +143,11 @@ void GapStream::restore_clone(BinaryReader& r) {
   discarded_ = r.u64();
   polls_issued_ = r.u64();
   staleness_reports_ = r.u64();
-  if (r.u8() != 0) {
-    sim::TimerId tid = r.u64();
-    TimePoint t = r.time_point();
-    std::uint64_t seq = r.u64();
-    std::uint32_t epoch = r.u32();
+  if (sim::TimerId id = sim::Simulation::decode_timer(r)) {
+    const std::uint32_t epoch = r.u32();
     epoch_pending_ = epoch;
     epoch_timer_ = ctx_.timers->restore_at(
-        tid, t, seq, [this, epoch] { on_epoch_boundary(epoch); });
+        id, [this, epoch] { on_epoch_boundary(epoch); });
   }
 }
 

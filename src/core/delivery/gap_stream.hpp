@@ -42,9 +42,10 @@ class GapStream {
   std::uint64_t polls_issued() const { return polls_issued_; }
   std::uint64_t staleness_reports() const { return staleness_reports_; }
 
-  // Serialize protocol state (dedup window in arrival order, epoch
-  // tracking, counters) for a checkpoint.
-  void checkpoint_state(BinaryWriter& w) const {
+  // --- state capture (DESIGN.md §13) ---------------------------------
+  // Dedup window in arrival order, epoch tracking, counters, and the
+  // epoch-boundary timer (poll streams only).
+  void clone_state(BinaryWriter& w) const {
     w.u32(first_epoch_);
     w.u64(recent_order_.size());
     for (EventId id : recent_order_) w.event_id(id);
@@ -55,11 +56,8 @@ class GapStream {
     w.u64(discarded_);
     w.u64(polls_issued_);
     w.u64(staleness_reports_);
+    if (ctx_.timers->sim().encode_timer(w, epoch_timer_)) w.u32(epoch_pending_);
   }
-
-  // --- snapshot-clone support (DESIGN.md §16) ------------------------
-  // Checkpoint fields plus the epoch-boundary timer (poll streams only).
-  void clone_state(BinaryWriter& w) const;
   void restore_clone(BinaryReader& r);
 
  private:

@@ -261,30 +261,6 @@ void GaplessStream::on_poll_slot(std::uint32_t epoch) {
   }
 }
 
-void GaplessStream::clone_state(BinaryWriter& w) const {
-  checkpoint_state(w);
-  sim::Simulation& sim = ctx_.timers->sim();
-  TimePoint t;
-  std::uint64_t seq;
-  bool epoch_live = epoch_timer_ != 0 &&
-                    sim.timer_info(epoch_timer_, &t, &seq);
-  w.u8(epoch_live ? 1 : 0);
-  if (epoch_live) {
-    w.u64(epoch_timer_);
-    w.time_point(t);
-    w.u64(seq);
-    w.u32(epoch_pending_);
-  }
-  bool slot_live = slot_timer_ != 0 && sim.timer_info(slot_timer_, &t, &seq);
-  w.u8(slot_live ? 1 : 0);
-  if (slot_live) {
-    w.u64(slot_timer_);
-    w.time_point(t);
-    w.u64(seq);
-    w.u32(slot_epoch_);
-  }
-}
-
 void GaplessStream::restore_clone(BinaryReader& r) {
   first_epoch_ = r.u32();
   epochs_seen_.clear();
@@ -302,23 +278,17 @@ void GaplessStream::restore_clone(BinaryReader& r) {
   rb_initiated_ = r.u64();
   polls_issued_ = r.u64();
   staleness_reports_ = r.u64();
-  if (r.u8() != 0) {
-    sim::TimerId tid = r.u64();
-    TimePoint t = r.time_point();
-    std::uint64_t seq = r.u64();
-    std::uint32_t epoch = r.u32();
+  if (sim::TimerId id = sim::Simulation::decode_timer(r)) {
+    const std::uint32_t epoch = r.u32();
     epoch_pending_ = epoch;
     epoch_timer_ = ctx_.timers->restore_at(
-        tid, t, seq, [this, epoch] { on_epoch_boundary(epoch); });
+        id, [this, epoch] { on_epoch_boundary(epoch); });
   }
-  if (r.u8() != 0) {
-    sim::TimerId tid = r.u64();
-    TimePoint t = r.time_point();
-    std::uint64_t seq = r.u64();
-    std::uint32_t epoch = r.u32();
+  if (sim::TimerId id = sim::Simulation::decode_timer(r)) {
+    const std::uint32_t epoch = r.u32();
     slot_epoch_ = epoch;
-    slot_timer_ = ctx_.timers->restore_at(
-        tid, t, seq, [this, epoch] { on_poll_slot(epoch); });
+    slot_timer_ =
+        ctx_.timers->restore_at(id, [this, epoch] { on_poll_slot(epoch); });
   }
 }
 

@@ -57,9 +57,11 @@ class GaplessStream {
   std::uint64_t polls_issued() const { return polls_issued_; }
   std::uint64_t staleness_reports() const { return staleness_reports_; }
 
-  // Serialize protocol state (epoch tracking, broadcast dedup, counters)
-  // for a checkpoint; event content lives in the EventLog.
-  void checkpoint_state(BinaryWriter& w) const {
+  // --- state capture (DESIGN.md §13) ---------------------------------
+  // Epoch tracking, broadcast dedup, counters, and the epoch-boundary and
+  // poll-slot timers (poll streams only; push streams hold no timers).
+  // Event content lives in the EventLog.
+  void clone_state(BinaryWriter& w) const {
     w.u32(first_epoch_);
     w.u64(epochs_seen_.size());
     for (std::uint32_t e : epochs_seen_) w.u32(e);
@@ -70,13 +72,10 @@ class GaplessStream {
     w.u64(rb_initiated_);
     w.u64(polls_issued_);
     w.u64(staleness_reports_);
+    const sim::Simulation& sim = ctx_.timers->sim();
+    if (sim.encode_timer(w, epoch_timer_)) w.u32(epoch_pending_);
+    if (sim.encode_timer(w, slot_timer_)) w.u32(slot_epoch_);
   }
-
-  // --- snapshot-clone support (DESIGN.md §16) ------------------------
-  // Checkpoint fields plus the epoch-boundary and poll-slot timers with
-  // their (id, t, seq) identities (poll streams only; push streams hold
-  // no timers).
-  void clone_state(BinaryWriter& w) const;
   void restore_clone(BinaryReader& r);
 
  private:

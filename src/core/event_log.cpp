@@ -292,33 +292,6 @@ void EventLog::recover() {
   }
 }
 
-void EventLog::checkpoint_state(BinaryWriter& w) const {
-  w.app_id(app_);
-  w.u64(streams_.size());
-  for (const auto& [sensor, stream] : streams_) {
-    w.sensor_id(sensor);
-    w.u32(stream.first_retained);
-    w.u32(stream.prefix_next);
-    w.u8(stream.monotone ? 1 : 0);
-    w.u64(stream.events.size());
-    for (const auto& [seq, se] : stream.events) {
-      w.u32(seq);
-      w.time_point(se.event.emitted_at);
-      w.u32(se.event.epoch);
-      w.u8(se.event.poll_based ? 1 : 0);
-      w.f64(se.event.value);
-      w.u64(se.event.chain);
-      write_pid_set(w, se.seen);
-      write_pid_set(w, se.need);
-    }
-  }
-  w.u64(processed_hw_.size());
-  for (const auto& [sensor, t] : processed_hw_) {
-    w.sensor_id(sensor);
-    w.time_point(t);
-  }
-}
-
 void EventLog::clone_state(BinaryWriter& w) const {
   w.app_id(app_);
   w.u64(streams_.size());

@@ -74,16 +74,13 @@ class EventLog {
   // Rebuild in-memory state from stable storage (crash recovery).
   void recover();
 
-  // Serialize the full log — per-stream retention bounds, every stored
-  // event with its S/V sets, and the processed watermarks — for a
-  // checkpoint. All containers here are ordered, so this is a pure
-  // function of log content.
-  void checkpoint_state(BinaryWriter& w) const;
-
-  // --- snapshot-clone support (DESIGN.md §16) ------------------------
-  // Unlike checkpoint_state this carries every in-memory event field
-  // (payload size, integrity trailer) so re-sends from a restored log
-  // are byte-for-byte what the source would have sent. No timers here.
+  // --- state capture (DESIGN.md §13) ---------------------------------
+  // The full log — per-stream retention bounds, every stored event with
+  // every in-memory field (payload size and integrity trailer included,
+  // so re-sends from a restored log are byte-for-byte what the source
+  // would have sent) and its S/V sets, and the processed watermarks. All
+  // containers here are ordered, so this is a pure function of log
+  // content. No timers here.
   void clone_state(BinaryWriter& w) const;
   void restore_clone(BinaryReader& r);
 

@@ -872,68 +872,22 @@ std::string RivuletProcess::metric_prefix(AppId id) const {
   return "app" + std::to_string(id.value);
 }
 
-void RivuletProcess::checkpoint_state(BinaryWriter& w) const {
-  w.process_id(self_);
-  w.u8(up_ ? 1 : 0);
-  w.u8(started_ ? 1 : 0);
-  w.u32(next_cmd_seq_);
-  store_.checkpoint_state(w);
-  w.u64(device_seqs_seen_.size());
-  for (const auto& [sensor, seqs] : device_seqs_seen_) {
-    w.sensor_id(sensor);
-    w.u64(seqs.size());
-    for (std::uint32_t s : seqs) w.u32(s);
-  }
-  // Volatile state exists only while the process is up.
-  w.u8(fd_ != nullptr ? 1 : 0);
-  if (fd_ != nullptr) fd_->checkpoint_state(w);
-  w.u8(kv_ != nullptr ? 1 : 0);
-  if (kv_ != nullptr) kv_->checkpoint_state(w);
-  w.u64(apps_.size());
-  for (const auto& [id, app] : apps_) {
-    w.app_id(id);
-    w.u64(app.chain.size());
-    for (ProcessId p : app.chain) w.process_id(p);
-    w.u8(app.log != nullptr ? 1 : 0);
-    if (app.log != nullptr) app.log->checkpoint_state(w);
-    w.u64(app.streams.size());
-    for (const auto& [sensor, stream] : app.streams) {
-      w.sensor_id(sensor);
-      w.u8(stream.gapless != nullptr ? 1 : 0);
-      if (stream.gapless != nullptr) stream.gapless->checkpoint_state(w);
-      w.u8(stream.gap != nullptr ? 1 : 0);
-      if (stream.gap != nullptr) stream.gap->checkpoint_state(w);
-    }
-    w.u8(app.logic != nullptr ? 1 : 0);
-    w.u8(app.last_successor.has_value() ? 1 : 0);
-    if (app.last_successor.has_value()) w.process_id(*app.last_successor);
-    w.u64(app.commands_seen.size());
-    for (CommandId c : app.commands_seen) w.command_id(c);
-    w.u64(app.pending_commands.size());
-    for (const auto& [c, pending] : app.pending_commands) {
-      w.command_id(c);
-      w.time_point(pending.first_sent);
-      w.time_point(pending.last_sent);
-    }
-    w.u64(app.delivered);
-    w.u64(app.instance_delivered.size());
-    for (EventId e : app.instance_delivered) w.event_id(e);
-  }
-}
-
 void RivuletProcess::clone_state(BinaryWriter& w) const {
   w.process_id(self_);
   w.u8(up_ ? 1 : 0);
   w.u8(started_ ? 1 : 0);
   w.u32(next_cmd_seq_);
-  store_.checkpoint_state(w);  // full contents; clone reuses the encoding
+  store_.clone_state(w);
   w.u64(device_seqs_seen_.size());
   for (const auto& [sensor, seqs] : device_seqs_seen_) {
     w.sensor_id(sensor);
     w.u64(seqs.size());
     for (std::uint32_t s : seqs) w.u32(s);
   }
-  if (!up_) return;  // volatile state exists only while the process is up
+  // Volatile state exists exactly while the process is up.
+  RIV_ASSERT(up_ == (fd_ != nullptr && kv_ != nullptr),
+             "volatile runtime state out of step with liveness");
+  if (!up_) return;
 
   fd_->clone_state(w);
   kv_->clone_state(w);
@@ -969,16 +923,7 @@ void RivuletProcess::clone_state(BinaryWriter& w) const {
     w.u64(app.instance_delivered.size());
     for (EventId e : app.instance_delivered) w.event_id(e);
   }
-  TimePoint t;
-  std::uint64_t seq;
-  bool live =
-      periodic_timer_ != 0 && sim_->timer_info(periodic_timer_, &t, &seq);
-  w.u8(live ? 1 : 0);
-  if (live) {
-    w.u64(periodic_timer_);
-    w.time_point(t);
-    w.u64(seq);
-  }
+  sim_->encode_timer(w, periodic_timer_);
 }
 
 void RivuletProcess::restore_clone(BinaryReader& r) {
@@ -1056,12 +1001,8 @@ void RivuletProcess::restore_clone(BinaryReader& r) {
     for (std::uint64_t i = 0; i < n_inst; ++i)
       app.instance_delivered.insert(app.instance_delivered.end(), r.event_id());
   }
-  if (r.u8() != 0) {
-    sim::TimerId tid = r.u64();
-    TimePoint t = r.time_point();
-    std::uint64_t seq = r.u64();
-    periodic_timer_ = timers_->restore_at(tid, t, seq, periodic_);
-  }
+  if (sim::TimerId id = sim::Simulation::decode_timer(r))
+    periodic_timer_ = timers_->restore_at(id, periodic_);
 }
 
 }  // namespace riv::core

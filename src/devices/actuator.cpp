@@ -30,6 +30,7 @@ std::vector<ProcessId> Actuator::linked_processes() const {
 void Actuator::crash() {
   crashed_ = true;
   timers_.cancel_all();
+  in_flight_.clear();
 }
 
 void Actuator::submit(ProcessId from, const Command& cmd) {
@@ -38,10 +39,15 @@ void Actuator::submit(ProcessId from, const Command& cmd) {
   if (rng_.bernoulli(it->second)) return;  // lost on the device link
   const TechProfile& prof = profile(spec_.tech);
   Duration delay = prof.link_latency + spec_.actuate_latency;
-  sim::TimerId tid = timers_.schedule_after(delay, [this, cmd] {
+  const std::uint32_t slot = in_flight_.put(cmd);
+  in_flight_.bind(slot, timers_.schedule_after(delay, delivery(slot)));
+}
+
+sim::Simulation::Callback Actuator::delivery(std::uint32_t slot) {
+  return [this, slot] {
+    Command cmd = in_flight_.take(slot);
     if (!crashed_) apply(cmd);
-  });
-  if (clone_tracking_) track_delivery(tid, cmd);
+  };
 }
 
 void Actuator::apply(const Command& cmd) {
@@ -74,53 +80,7 @@ void Actuator::apply(const Command& cmd) {
       Applied{cmd.id, cmd.value, sim_->now(), accepted, cmd.cause});
 }
 
-void Actuator::checkpoint_state(BinaryWriter& w) const {
-  w.actuator_id(spec_.id);
-  for (std::uint64_t word : rng_.state()) w.u64(word);
-  w.u64(links_.size());
-  for (const auto& [p, loss] : links_) {
-    w.process_id(p);
-    w.f64(loss);
-  }
-  w.u8(crashed_ ? 1 : 0);
-  w.f64(state_);
-  w.u64(seen_.size());
-  for (CommandId id : seen_) w.command_id(id);
-  w.u64(history_.size());
-  for (const Applied& a : history_) {
-    w.command_id(a.id);
-    w.f64(a.value);
-    w.time_point(a.at);
-    w.u8(a.accepted ? 1 : 0);
-    w.provenance_id(a.cause);
-  }
-  w.u64(actions_);
-  w.u64(duplicate_deliveries_);
-  w.u64(unwarranted_actions_);
-  w.u64(rejected_tas_);
-}
-
-void Actuator::set_clone_tracking(bool on) {
-  clone_tracking_ = on;
-  if (!on) {
-    in_flight_.clear();
-    in_flight_.shrink_to_fit();
-  }
-}
-
-void Actuator::track_delivery(sim::TimerId id, const Command& cmd) {
-  if (in_flight_.size() >= 16) {
-    TimePoint t;
-    std::uint64_t seq;
-    std::erase_if(in_flight_, [&](const InFlight& f) {
-      return !sim_->timer_info(f.timer, &t, &seq);
-    });
-  }
-  in_flight_.push_back({id, cmd});
-}
-
 void Actuator::clone_state(BinaryWriter& w) const {
-  RIV_ASSERT(clone_tracking_, "Actuator::clone_state requires clone tracking");
   w.actuator_id(spec_.id);
   for (std::uint64_t word : rng_.state()) w.u64(word);
   w.u64(links_.size());
@@ -145,18 +105,11 @@ void Actuator::clone_state(BinaryWriter& w) const {
   w.u64(unwarranted_actions_);
   w.u64(rejected_tas_);
 
-  TimePoint t;
-  std::uint64_t seq;
-  std::size_t live = 0;
-  for (const InFlight& f : in_flight_)
-    if (sim_->timer_info(f.timer, &t, &seq)) ++live;
-  w.u64(live);
-  for (const InFlight& f : in_flight_) {
-    if (!sim_->timer_info(f.timer, &t, &seq)) continue;
-    w.u64(f.timer);
-    w.time_point(t);
-    w.u64(seq);
-    encode(w, f.cmd);
+  const auto flights = in_flight_.by_timer();
+  w.u64(flights.size());
+  for (const auto* f : flights) {
+    w.u64(f->timer);
+    encode(w, f->value);
   }
 }
 
@@ -196,14 +149,9 @@ void Actuator::restore_clone(BinaryReader& r) {
 
   const std::uint64_t n_flight = r.u64();
   for (std::uint64_t i = 0; i < n_flight; ++i) {
-    sim::TimerId tid = r.u64();
-    TimePoint t = r.time_point();
-    std::uint64_t seq = r.u64();
-    Command cmd = decode_command(r);
-    timers_.restore_at(tid, t, seq, [this, cmd] {
-      if (!crashed_) apply(cmd);
-    });
-    if (clone_tracking_) track_delivery(tid, cmd);
+    sim::TimerId id = r.u64();
+    const std::uint32_t slot = in_flight_.put(decode_command(r));
+    in_flight_.bind(slot, timers_.restore_at(id, delivery(slot)));
   }
 }
 

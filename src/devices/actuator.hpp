@@ -22,6 +22,7 @@
 #include "common/rng.hpp"
 #include "devices/adapters.hpp"
 #include "devices/event.hpp"
+#include "sim/pending.hpp"
 #include "sim/simulation.hpp"
 
 namespace riv::devices {
@@ -76,26 +77,17 @@ class Actuator {
   std::uint64_t unwarranted_actions() const { return unwarranted_actions_; }
   std::uint64_t rejected_test_and_set() const { return rejected_tas_; }
 
-  // Serialize device state (links, RNG stream, physical state, command
-  // dedup set, applied history, counters) for a checkpoint.
-  void checkpoint_state(BinaryWriter& w) const;
-
-  // --- snapshot-clone support (DESIGN.md §16) ------------------------
-  // Mirrors Sensor: while tracking is on, commands in flight to the
-  // device are remembered as (timer id, Command) so clone_state can
-  // serialize them with their timer identity.
-  void set_clone_tracking(bool on);
+  // --- state capture (DESIGN.md §13) ---------------------------------
+  // Links, RNG stream, physical state, command dedup set, applied
+  // history, counters, and every command in flight to the device with
+  // its timer id.
   void clone_state(BinaryWriter& w) const;
   void restore_clone(BinaryReader& r);
 
  private:
-  struct InFlight {
-    sim::TimerId timer;
-    Command cmd;
-  };
-
   void apply(const Command& cmd);
-  void track_delivery(sim::TimerId id, const Command& cmd);
+  // The timer callback that lands the command held in `slot`.
+  sim::Simulation::Callback delivery(std::uint32_t slot);
 
   sim::Simulation* sim_;
   ActuatorSpec spec_;
@@ -112,8 +104,7 @@ class Actuator {
   std::uint64_t unwarranted_actions_{0};
   std::uint64_t rejected_tas_{0};
 
-  bool clone_tracking_{false};
-  std::vector<InFlight> in_flight_;
+  sim::PendingTable<Command> in_flight_;
 };
 
 }  // namespace riv::devices

@@ -169,25 +169,11 @@ void HomeBus::perturb(std::uint64_t salt) {
   for (auto& [id, sensor] : sensors_) sensor->perturb(salt ^ (i++ << 32));
 }
 
-void HomeBus::checkpoint_state(BinaryWriter& w) const {
-  w.u64(sensors_.size());
-  for (const auto& [id, sensor] : sensors_) sensor->checkpoint_state(w);
-  w.u64(actuators_.size());
-  for (const auto& [id, actuator] : actuators_) actuator->checkpoint_state(w);
-  w.u64(adapters_.size());
-  for (const auto& [key, adapter] : adapters_) {
-    w.process_id(key.first);
-    w.u8(static_cast<std::uint8_t>(key.second));
-    w.u64(adapter.frames_received());
-    w.u64(adapter.frames_sent());
-  }
-  w.u64(handlers_.size());
-  for (const auto& [p, handler] : handlers_) w.process_id(p);
-}
-
-void HomeBus::set_clone_tracking(bool on) {
-  for (auto& [id, sensor] : sensors_) sensor->set_clone_tracking(on);
-  for (auto& [id, actuator] : actuators_) actuator->set_clone_tracking(on);
+std::vector<ProcessId> HomeBus::subscribers() const {
+  std::vector<ProcessId> out;
+  out.reserve(handlers_.size());
+  for (const auto& [p, handler] : handlers_) out.push_back(p);
+  return out;
 }
 
 void HomeBus::clone_state(BinaryWriter& w) const {

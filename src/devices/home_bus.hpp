@@ -71,23 +71,20 @@ class HomeBus {
 
   sim::Simulation& sim() { return *sim_; }
 
-  // Serialize every device, adapter frame counters, and which processes
-  // are currently subscribed (handlers are closures; their presence is
-  // the state) for a checkpoint.
-  void checkpoint_state(BinaryWriter& w) const;
+  // Processes with a subscribed event handler, in pid order.
+  std::vector<ProcessId> subscribers() const;
 
-  // --- snapshot-clone support (DESIGN.md §16) ------------------------
-  // Forwarded to every sensor and actuator (in-flight tracking).
-  void set_clone_tracking(bool on);
-  // Devices + adapter counters. Subscriptions are NOT serialized here:
-  // a restored process re-subscribes as part of its own restore, and the
-  // sampled attestation (checkpoint_state byte-compare) covers the set.
+  // --- state capture (DESIGN.md §13) ---------------------------------
+  // Every device plus the adapter frame counters. Subscriptions are not
+  // encoded: handlers are closures, a process is subscribed iff it is up,
+  // and a restored process re-subscribes as part of its own restore
+  // (checkpoint/clone.cpp asserts the set on capture and after apply).
   void clone_state(BinaryWriter& w) const;
   void restore_clone(BinaryReader& r);
 
-  // Fork-divergence lever: salt every sensor's RNG stream (and the
-  // kernel's) so a forked copy of a warm home diverges deterministically
-  // — see Sensor::perturb.
+  // Divergence lever: salt every sensor's RNG stream (and the kernel's)
+  // so a clone of a warm home diverges deterministically — see
+  // Sensor::perturb.
   void perturb(std::uint64_t salt);
 
  private:

@@ -83,12 +83,14 @@ void Sensor::start() {
 void Sensor::stop() {
   running_ = false;
   timers_.cancel_all();
+  in_flight_.clear();
 }
 
 void Sensor::crash() {
   crashed_ = true;
   busy_ = false;
   timers_.cancel_all();
+  in_flight_.clear();
 }
 
 void Sensor::recover() {
@@ -120,10 +122,30 @@ void Sensor::schedule_next_emission() {
       }
       break;
   }
-  emission_timer_ = timers_.schedule_after(gap, [this] {
+  emission_timer_ = timers_.schedule_after(gap, emission_tick());
+}
+
+sim::Simulation::Callback Sensor::emission_tick() {
+  return [this] {
     emit(0, /*poll_based=*/false);
     schedule_next_emission();
-  });
+  };
+}
+
+sim::Simulation::Callback Sensor::poll_response(ProcessId from,
+                                                std::uint32_t epoch_tag) {
+  return [this, from, epoch_tag] {
+    busy_ = false;
+    ++polls_served_;
+    emit(epoch_tag, /*poll_based=*/true, from);
+  };
+}
+
+sim::Simulation::Callback Sensor::delivery(std::uint32_t slot) {
+  return [this, slot] {
+    InFlight f = in_flight_.take(slot);
+    if (deliver_) deliver_(f.process, f.event);
+  };
 }
 
 void Sensor::emit_now() {
@@ -168,10 +190,8 @@ void Sensor::transmit(ProcessId process, const Link& link,
   double loss = std::max(link.params.loss_prob, prof.loss_floor);
   if (rng_.bernoulli(loss)) return;  // lost on the air
   Duration lat = link_latency(link);
-  sim::TimerId tid = timers_.schedule_after(lat, [this, process, e] {
-    if (deliver_) deliver_(process, e);
-  });
-  if (clone_tracking_) track_delivery(tid, process, e);
+  const std::uint32_t slot = in_flight_.put({process, e});
+  in_flight_.bind(slot, timers_.schedule_after(lat, delivery(slot)));
 }
 
 void Sensor::emit(std::uint32_t epoch_tag, bool poll_based,
@@ -250,66 +270,11 @@ void Sensor::poll(ProcessId from, std::uint32_t epoch_tag) {
       static_cast<double>(spec_.poll_latency.us) * scale);
   poll_from_ = from;
   poll_epoch_ = epoch_tag;
-  poll_timer_ = timers_.schedule_after(Duration{latency}, [this, from,
-                                                          epoch_tag] {
-    busy_ = false;
-    ++polls_served_;
-    emit(epoch_tag, /*poll_based=*/true, from);
-  });
-}
-
-void Sensor::checkpoint_state(BinaryWriter& w) const {
-  w.sensor_id(spec_.id);
-  for (std::uint64_t word : rng_.state()) w.u64(word);
-  w.u64(links_.size());
-  for (const auto& [p, link] : links_) {
-    w.process_id(p);
-    w.f64(link.params.loss_prob);
-    w.duration(link.params.latency);
-    w.f64(link.params.jitter_frac);
-  }
-  w.u8(running_ ? 1 : 0);
-  w.u8(crashed_ ? 1 : 0);
-  w.u8(busy_ ? 1 : 0);
-  w.u32(next_seq_);
-  w.u32(static_cast<std::uint32_t>(burst_remaining_));
-  w.u8(integrity_ ? 1 : 0);
-  w.u64(chain_);
-  w.u64(recent_.size());
-  w.u64(recent_pos_);
-  for (const SensorEvent& e : recent_) {
-    w.event_id(e.id);
-    w.time_point(e.emitted_at);
-  }
-  w.u64(events_emitted_);
-  w.u64(polls_received_);
-  w.u64(polls_dropped_);
-  w.u64(polls_served_);
-}
-
-void Sensor::set_clone_tracking(bool on) {
-  clone_tracking_ = on;
-  if (!on) {
-    in_flight_.clear();
-    in_flight_.shrink_to_fit();
-  }
-}
-
-void Sensor::track_delivery(sim::TimerId id, ProcessId process,
-                            const SensorEvent& e) {
-  // Lazy prune: drop fired entries once the list is mostly dead.
-  if (in_flight_.size() >= 16) {
-    TimePoint t;
-    std::uint64_t seq;
-    std::erase_if(in_flight_, [&](const InFlight& f) {
-      return !sim_->timer_info(f.timer, &t, &seq);
-    });
-  }
-  in_flight_.push_back({id, process, e});
+  poll_timer_ =
+      timers_.schedule_after(Duration{latency}, poll_response(from, epoch_tag));
 }
 
 void Sensor::clone_state(BinaryWriter& w) const {
-  RIV_ASSERT(clone_tracking_, "Sensor::clone_state requires clone tracking");
   w.sensor_id(spec_.id);
   for (std::uint64_t word : rng_.state()) w.u64(word);
   w.u64(links_.size());
@@ -335,36 +300,17 @@ void Sensor::clone_state(BinaryWriter& w) const {
   w.u64(polls_dropped_);
   w.u64(polls_served_);
 
-  TimePoint t;
-  std::uint64_t seq;
-  bool emitting = emission_timer_ != 0 &&
-                  sim_->timer_info(emission_timer_, &t, &seq);
-  w.u8(emitting ? 1 : 0);
-  if (emitting) {
-    w.u64(emission_timer_);
-    w.time_point(t);
-    w.u64(seq);
-  }
-  bool polling = poll_timer_ != 0 && sim_->timer_info(poll_timer_, &t, &seq);
-  w.u8(polling ? 1 : 0);
-  if (polling) {
-    w.u64(poll_timer_);
-    w.time_point(t);
-    w.u64(seq);
+  sim_->encode_timer(w, emission_timer_);
+  if (sim_->encode_timer(w, poll_timer_)) {
     w.process_id(poll_from_);
     w.u32(poll_epoch_);
   }
-  std::size_t live = 0;
-  for (const InFlight& f : in_flight_)
-    if (sim_->timer_info(f.timer, &t, &seq)) ++live;
-  w.u64(live);
-  for (const InFlight& f : in_flight_) {
-    if (!sim_->timer_info(f.timer, &t, &seq)) continue;
-    w.u64(f.timer);
-    w.time_point(t);
-    w.u64(seq);
-    w.process_id(f.process);
-    encode_clone(w, f.event);
+  const auto flights = in_flight_.by_timer();
+  w.u64(flights.size());
+  for (const auto* f : flights) {
+    w.u64(f->timer);
+    w.process_id(f->value.process);
+    encode_clone(w, f->value.event);
   }
 }
 
@@ -403,40 +349,22 @@ void Sensor::restore_clone(BinaryReader& r) {
   polls_dropped_ = r.u64();
   polls_served_ = r.u64();
 
-  if (r.u8() != 0) {  // emission-loop timer
-    sim::TimerId tid = r.u64();
-    TimePoint t = r.time_point();
-    std::uint64_t seq = r.u64();
-    emission_timer_ = timers_.restore_at(tid, t, seq, [this] {
-      emit(0, /*poll_based=*/false);
-      schedule_next_emission();
-    });
-  }
-  if (r.u8() != 0) {  // pending poll response
-    sim::TimerId tid = r.u64();
-    TimePoint t = r.time_point();
-    std::uint64_t seq = r.u64();
-    ProcessId from = r.process_id();
-    std::uint32_t epoch_tag = r.u32();
-    poll_from_ = from;
-    poll_epoch_ = epoch_tag;
-    poll_timer_ = timers_.restore_at(tid, t, seq, [this, from, epoch_tag] {
-      busy_ = false;
-      ++polls_served_;
-      emit(epoch_tag, /*poll_based=*/true, from);
-    });
+  if (sim::TimerId id = sim::Simulation::decode_timer(r))
+    emission_timer_ = timers_.restore_at(id, emission_tick());
+  if (sim::TimerId id = sim::Simulation::decode_timer(r)) {
+    poll_from_ = r.process_id();
+    poll_epoch_ = r.u32();
+    poll_timer_ =
+        timers_.restore_at(id, poll_response(poll_from_, poll_epoch_));
   }
   const std::uint64_t n_flight = r.u64();
   for (std::uint64_t i = 0; i < n_flight; ++i) {
-    sim::TimerId tid = r.u64();
-    TimePoint t = r.time_point();
-    std::uint64_t seq = r.u64();
-    ProcessId process = r.process_id();
-    SensorEvent e = decode_clone_event(r);
-    timers_.restore_at(tid, t, seq, [this, process, e] {
-      if (deliver_) deliver_(process, e);
-    });
-    if (clone_tracking_) track_delivery(tid, process, e);
+    sim::TimerId id = r.u64();
+    InFlight f;
+    f.process = r.process_id();
+    f.event = decode_clone_event(r);
+    const std::uint32_t slot = in_flight_.put(std::move(f));
+    in_flight_.bind(slot, timers_.restore_at(id, delivery(slot)));
   }
 }
 

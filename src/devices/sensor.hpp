@@ -24,6 +24,7 @@
 #include "common/rng.hpp"
 #include "devices/adapters.hpp"
 #include "devices/event.hpp"
+#include "sim/pending.hpp"
 #include "sim/simulation.hpp"
 
 namespace riv::devices {
@@ -147,29 +148,20 @@ class Sensor {
   std::uint64_t polls_served() const { return polls_served_; }
   std::uint64_t battery_drain() const { return polls_received_; }
 
-  // Serialize device state (links, RNG stream, emission cursor, integrity
-  // chain and replay window, counters) for a checkpoint.
-  void checkpoint_state(BinaryWriter& w) const;
-
-  // --- snapshot-clone support (DESIGN.md §16) ------------------------
-  // While tracking is on, transmissions in the air are remembered as
-  // (timer id, destination, event) so clone_state can serialize them.
-  // Off by default; the normal emission path stays bookkeeping-free.
-  void set_clone_tracking(bool on);
-  // Full-state serialization for the clone path: RNG stream, links,
-  // emission cursor, integrity window, counters, plus the emission-loop
-  // timer, a pending poll response, and in-flight deliveries — each with
-  // its (id, t, seq) timer identity. Requires clone tracking on.
+  // --- state capture (DESIGN.md §13) ---------------------------------
+  // RNG stream, links, emission cursor, integrity key, chain and replay
+  // window, counters, plus the emission-loop timer, a pending poll
+  // response and every delivery in the air, each with its timer id.
   void clone_state(BinaryWriter& w) const;
   // Restore into a freshly built sensor of the same spec (asserted);
   // timers are re-created via ProcessTimers::restore_at.
   void restore_clone(BinaryReader& r);
 
-  // Fork-divergence lever: replace the RNG stream with a salted child
-  // stream. Two forked copies of a warm deployment perturbed with
-  // different salts diverge from here on (loss draws, jitter, emission
-  // gaps) while sharing the identical warm-up — the replicate axis of
-  // fork-per-seed sweeps. Deterministic: same salt, same continuation.
+  // Divergence lever: replace the RNG stream with a salted child stream.
+  // Two clones of a warm deployment perturbed with different salts
+  // diverge from here on (loss draws, jitter, emission gaps) while
+  // sharing the identical warm-up — the replicate axis of warm sweeps.
+  // Deterministic: same salt, same continuation.
   void perturb(std::uint64_t salt) { rng_ = rng_.fork(salt); }
 
  private:
@@ -178,6 +170,11 @@ class Sensor {
   };
 
   void schedule_next_emission();
+  // Timer callbacks, shared by the live path and restore.
+  sim::Simulation::Callback emission_tick();
+  sim::Simulation::Callback poll_response(ProcessId from,
+                                          std::uint32_t epoch_tag);
+  sim::Simulation::Callback delivery(std::uint32_t slot);
   void emit(std::uint32_t epoch_tag, bool poll_based,
             ProcessId poll_target = ProcessId{0xffff});
   void transmit(ProcessId process, const Link& link, const SensorEvent& e);
@@ -209,23 +206,17 @@ class Sensor {
   std::uint64_t polls_dropped_{0};
   std::uint64_t polls_served_{0};
 
-  // Clone tracking (set_clone_tracking): the emission-loop timer and the
-  // pending poll response track their ids always (a member store is
-  // free); in-flight deliveries keep a (timer, dst, event) list only
-  // while tracking is on, pruned lazily as timers fire.
+  // Timers owned here, kept by id for state capture. An event in the air
+  // lives in in_flight_ until its delivery timer fires.
   struct InFlight {
-    sim::TimerId timer;
     ProcessId process;
     SensorEvent event;
   };
-  void track_delivery(sim::TimerId id, ProcessId process,
-                      const SensorEvent& e);
-  bool clone_tracking_{false};
   sim::TimerId emission_timer_{0};
   sim::TimerId poll_timer_{0};
   ProcessId poll_from_{};
   std::uint32_t poll_epoch_{0};
-  std::vector<InFlight> in_flight_;
+  sim::PendingTable<InFlight> in_flight_;
 };
 
 // True for sensor kinds whose value is a 0/1 indicator.

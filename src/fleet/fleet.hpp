@@ -46,8 +46,8 @@ namespace riv::fleet {
 struct WarmOptions {
   bool enabled{false};
   Duration prefix{};  // fault-free warm-up shared by every campaign
-  // Fraction of warm homes whose restored clone is byte-attested against
-  // the PR 7 checkpoint surface before running (sampled background
+  // Fraction of warm homes whose restored clone is re-captured and
+  // byte-compared against the image it came from before running (sampled
   // integrity check; selection is a pure function of (seed, index)).
   double attest_sample{0.0};
   // Non-zero: fold salt ^ campaign_index into the device RNGs at the

@@ -53,16 +53,7 @@ void FailureDetector::clone_state(BinaryWriter& w) const {
   }
   w.u64(view_flat_.size());
   for (ProcessId p : view_flat_) w.process_id(p);
-  TimePoint t;
-  std::uint64_t seq;
-  bool ticking = tick_timer_ != 0 &&
-                 timers_->sim().timer_info(tick_timer_, &t, &seq);
-  w.u8(ticking ? 1 : 0);
-  if (ticking) {
-    w.u64(tick_timer_);
-    w.time_point(t);
-    w.u64(seq);
-  }
+  timers_->sim().encode_timer(w, tick_timer_);
 }
 
 void FailureDetector::restore_clone(BinaryReader& r) {
@@ -79,12 +70,8 @@ void FailureDetector::restore_clone(BinaryReader& r) {
     view_flat_.push_back(r.process_id());
   view_.clear();
   view_.insert(view_flat_.begin(), view_flat_.end());
-  if (r.u8() != 0) {
-    sim::TimerId tid = r.u64();
-    TimePoint t = r.time_point();
-    std::uint64_t seq = r.u64();
-    tick_timer_ = timers_->restore_at(tid, t, seq, [this] { tick(); });
-  }
+  if (sim::TimerId id = sim::Simulation::decode_timer(r))
+    tick_timer_ = timers_->restore_at(id, [this] { tick(); });
 }
 
 void FailureDetector::on_keepalive(const net::Message& msg) {

@@ -291,21 +291,12 @@ void SimNetwork::transmit(Message msg) {
   if (deliver_at.us < last_delivery_us_[e]) deliver_at.us = last_delivery_us_[e];
   last_delivery_us_[e] = deliver_at.us;
 
-  ++in_flight_;
-  if (clone_tracking_) {
-    // Message copies share the payload buffer, so keeping one for the
-    // tracked list is a refcount bump, not a byte copy.
-    sim::TimerId tid = sim_->schedule_at(deliver_at, [this, msg]() {
-      --in_flight_;
-      complete_delivery(msg);
-    });
-    track_frame(tid, std::move(msg));
-  } else {
-    sim_->schedule_at(deliver_at, [this, msg = std::move(msg)]() {
-      --in_flight_;
-      complete_delivery(msg);
-    });
-  }
+  const std::uint32_t slot = in_flight_.put(std::move(msg));
+  in_flight_.bind(slot, sim_->schedule_at(deliver_at, delivery(slot)));
+}
+
+sim::Simulation::Callback SimNetwork::delivery(std::uint32_t slot) {
+  return [this, slot] { complete_delivery(in_flight_.take(slot)); };
 }
 
 void SimNetwork::complete_delivery(const Message& msg) {
@@ -322,46 +313,11 @@ void SimNetwork::complete_delivery(const Message& msg) {
   ep->deliver(msg);
 }
 
-void SimNetwork::set_clone_tracking(bool on) {
-  clone_tracking_ = on;
-  if (!on) {
-    tracked_.clear();
-    tracked_.shrink_to_fit();
-  }
-}
-
-void SimNetwork::track_frame(sim::TimerId id, Message msg) {
-  // Lazy prune: once the list doubles past the live frame count, drop
-  // entries whose timer already fired, keeping the list O(in-flight).
-  if (tracked_.size() >= 64 && tracked_.size() >= in_flight_ * 2) {
-    TimePoint t;
-    std::uint64_t seq;
-    std::erase_if(tracked_, [&](const TrackedFrame& f) {
-      return !sim_->timer_info(f.timer, &t, &seq);
-    });
-  }
-  tracked_.push_back({id, std::move(msg)});
-}
-
-void SimNetwork::checkpoint_state(BinaryWriter& w) const {
-  const std::size_t n = procs_.size();
-  w.u64(n);
-  for (const Proc& p : procs_) {
-    w.process_id(p.pid);
-    w.u8(p.up ? 1 : 0);
-    w.u8(p.up_set ? 1 : 0);
-    w.u32(static_cast<std::uint32_t>(p.group));
-  }
-  w.u32(static_cast<std::uint32_t>(up_count_));
-  w.u8(partitioned_ ? 1 : 0);
-  w.u64(in_flight_);
-  for (std::size_t e = 0; e < n * n; ++e) w.u8(edge_down_[e]);
-  for (std::size_t e = 0; e < n * n; ++e) w.i64(edge_delay_us_[e]);
-  for (std::size_t e = 0; e < n * n; ++e) w.f64(edge_loss_[e]);
-  for (std::size_t e = 0; e < n * n; ++e) w.i64(last_delivery_us_[e]);
-}
-
 void SimNetwork::clone_state(BinaryWriter& w) const {
+  RIV_ASSERT(up_count_ == static_cast<int>(std::count_if(
+                             procs_.begin(), procs_.end(),
+                             [](const Proc& p) { return p.up; })),
+             "SimNetwork up_count_ drifted from the liveness flags");
   const std::size_t n = procs_.size();
   w.u64(n);
   for (const Proc& p : procs_) {
@@ -377,25 +333,14 @@ void SimNetwork::clone_state(BinaryWriter& w) const {
   for (std::size_t e = 0; e < n * n; ++e) w.f64(edge_loss_[e]);
   for (std::size_t e = 0; e < n * n; ++e) w.i64(last_delivery_us_[e]);
 
-  // In-flight frames: every tracked entry whose timer is still pending.
-  RIV_ASSERT(clone_tracking_, "clone_state requires clone tracking");
-  std::size_t live = 0;
-  TimePoint t;
-  std::uint64_t seq;
-  for (const TrackedFrame& f : tracked_)
-    if (sim_->timer_info(f.timer, &t, &seq)) ++live;
-  RIV_ASSERT(live == in_flight_,
-             "clone tracking must cover every in-flight frame");
-  w.u64(live);
-  for (const TrackedFrame& f : tracked_) {
-    if (!sim_->timer_info(f.timer, &t, &seq)) continue;
-    w.u64(f.timer);
-    w.time_point(t);
-    w.u64(seq);
-    w.process_id(f.msg.src);
-    w.process_id(f.msg.dst);
-    w.u8(static_cast<std::uint8_t>(f.msg.type));
-    w.bytes(f.msg.payload);
+  const auto frames = in_flight_.by_timer();
+  w.u64(frames.size());
+  for (const auto* f : frames) {
+    w.u64(f->timer);
+    w.process_id(f->value.src);
+    w.process_id(f->value.dst);
+    w.u8(static_cast<std::uint8_t>(f->value.type));
+    w.bytes(f->value.payload);
   }
 }
 
@@ -425,19 +370,13 @@ void SimNetwork::restore_clone(BinaryReader& r) {
   const std::uint64_t frames = r.u64();
   for (std::uint64_t i = 0; i < frames; ++i) {
     sim::TimerId id = r.u64();
-    TimePoint t = r.time_point();
-    std::uint64_t seq = r.u64();
     Message msg;
     msg.src = r.process_id();
     msg.dst = r.process_id();
     msg.type = static_cast<MsgType>(r.u8());
     msg.payload = r.bytes();
-    ++in_flight_;
-    sim_->schedule_restored(id, t, seq, [this, msg]() {
-      --in_flight_;
-      complete_delivery(msg);
-    });
-    if (clone_tracking_) track_frame(id, std::move(msg));
+    const std::uint32_t slot = in_flight_.put(std::move(msg));
+    in_flight_.bind(slot, sim_->schedule_restored(id, delivery(slot)));
   }
 }
 

@@ -40,6 +40,7 @@
 
 #include "metrics/metrics.hpp"
 #include "net/transport.hpp"
+#include "sim/pending.hpp"
 #include "sim/simulation.hpp"
 
 namespace riv::net {
@@ -111,31 +112,19 @@ class SimNetwork {
   metrics::Registry& metrics() { return *metrics_; }
 
   // Total frames currently in flight (for tests).
-  std::size_t in_flight() const { return in_flight_; }
+  std::size_t in_flight() const { return in_flight_.size(); }
 
-  // Serialize the network's fault/liveness state for a checkpoint: the
-  // registered processes (registration order == dense index order, which
-  // is deterministic), liveness and partition groups, every directed-edge
-  // override matrix, and the per-pair FIFO clamps. Frames in the air are
-  // sim timer closures; the kernel checkpoint attests them as (id, t,
-  // seq) triples and in_flight_ is attested here as a count.
-  void checkpoint_state(BinaryWriter& w) const;
-
-  // --- snapshot-clone support (DESIGN.md §16) ------------------------
-  // While tracking is on, every frame put on the air is also remembered
-  // as (timer id, Message) so clone_state can serialize frames still in
-  // flight with their full contents and timer identity. Off by default:
-  // the normal per-frame path stays allocation- and bookkeeping-free.
-  void set_clone_tracking(bool on);
-  // Full-state serialization for the clone path: liveness, partition
-  // groups, override matrices, FIFO clamps, and every in-flight frame.
-  // Requires clone tracking to have been on since the last quiescent
-  // point (asserted: tracked live frames must equal in_flight_).
+  // --- state capture (DESIGN.md §13) ---------------------------------
+  // The network's share of the one state encoding: the registered
+  // processes (registration order == dense index order, which is
+  // deterministic), liveness and partition groups, every directed-edge
+  // override matrix, the per-pair FIFO clamps, and every frame in flight
+  // with its timer id. up_count_ is derived from the liveness flags and
+  // recomputed on restore.
   void clone_state(BinaryWriter& w) const;
   // Restore into a freshly built network whose processes were registered
   // in the same deterministic order (asserted); in-flight frames are
-  // re-created via Simulation::schedule_restored with their original
-  // (id, t, seq) identity.
+  // re-created via Simulation::schedule_restored.
   void restore_clone(BinaryReader& r);
 
  private:
@@ -170,10 +159,11 @@ class SimNetwork {
 
   void send_frame(Message msg);
   void transmit(Message msg);
+  // The timer callback that delivers the frame held in `slot`.
+  sim::Simulation::Callback delivery(std::uint32_t slot);
   // Delivery-time half of transmit: liveness/reachability re-check plus
-  // endpoint dispatch. Shared by the live path and restored frames.
+  // endpoint dispatch.
   void complete_delivery(const Message& msg);
-  void track_frame(sim::TimerId id, Message msg);
   Duration frame_delay(std::size_t bytes);
 
   sim::Simulation* sim_;
@@ -192,17 +182,8 @@ class SimNetwork {
   std::vector<std::int64_t> last_delivery_us_;  // per-pair FIFO clamp
 
   TypeCounters type_counters_[16];
-  std::size_t in_flight_{0};
+  sim::PendingTable<Message> in_flight_;
   Interposer interposer_;
-
-  // Clone tracking (set_clone_tracking): frames on the air with their
-  // timer ids. Entries whose timer already fired are pruned lazily.
-  struct TrackedFrame {
-    sim::TimerId timer;
-    Message msg;
-  };
-  bool clone_tracking_{false};
-  std::vector<TrackedFrame> tracked_;
 };
 
 }  // namespace riv::net

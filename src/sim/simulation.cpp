@@ -321,7 +321,8 @@ bool Simulation::fire_next(std::int64_t cap) {
 
 bool Simulation::step() { return fire_next(kMaxTime); }
 
-void Simulation::checkpoint_state(BinaryWriter& w) const {
+void Simulation::clone_state(BinaryWriter& w) const {
+  RIV_ASSERT(due_head_ == due_.size(), "state capture mid-batch");
   w.i64(now_.us);
   w.u64(next_seq_);
   w.u64(events_fired_);
@@ -329,8 +330,7 @@ void Simulation::checkpoint_state(BinaryWriter& w) const {
   for (std::uint64_t word : rng_.state()) w.u64(word);
   // A node is live iff the id ring still points at it and it was not
   // cancelled (fire and cancel both clear the ring entry; freed slab
-  // slots keep stale ids that no longer resolve to them). The not-yet-
-  // fired tail of the current due_ batch still satisfies this.
+  // slots keep stale ids that no longer resolve to them).
   std::vector<const Node*> live;
   live.reserve(live_count_);
   for (std::uint32_t i = 0; i < nodes_.size(); ++i) {
@@ -339,24 +339,15 @@ void Simulation::checkpoint_state(BinaryWriter& w) const {
     if (id_lookup(n.id) != i) continue;
     live.push_back(&n);
   }
+  RIV_ASSERT(live.size() == live_count_, "kernel live-timer count drifted");
   std::sort(live.begin(), live.end(),
-            [](const Node* a, const Node* b) { return a->seq < b->seq; });
+            [](const Node* a, const Node* b) { return a->id < b->id; });
   w.u64(live.size());
   for (const Node* n : live) {
     w.u64(n->id);
     w.i64(n->t);
     w.u64(n->seq);
   }
-}
-
-void Simulation::clone_state(BinaryWriter& w) const {
-  RIV_ASSERT(due_head_ == due_.size(), "clone capture mid-batch");
-  w.i64(now_.us);
-  w.u64(next_seq_);
-  w.u64(events_fired_);
-  w.u64(next_id_);
-  for (std::uint64_t word : rng_.state()) w.u64(word);
-  w.u64(live_count_);
 }
 
 void Simulation::begin_restore(BinaryReader& r) {
@@ -372,7 +363,18 @@ void Simulation::begin_restore(BinaryReader& r) {
   std::array<std::uint64_t, 4> rng_state;
   for (std::uint64_t& word : rng_state) word = r.u64();
   rng_.set_state(rng_state);
-  expected_live_ = r.u64();
+  const std::uint64_t n_live = r.u64();
+  restoring_.clear();
+  restoring_.reserve(std::min<std::uint64_t>(n_live, r.remaining()));
+  for (std::uint64_t i = 0; i < n_live && r.ok(); ++i) {
+    LiveTimer lt{r.u64(), r.i64(), r.u64()};
+    RIV_ASSERT(lt.id >= 1 && lt.id < next_id_ && lt.seq < next_seq_ &&
+                   lt.t >= now_.us,
+               "restored timer outside the captured window");
+    RIV_ASSERT(restoring_.empty() || restoring_.back().id < lt.id,
+               "captured timer list not sorted by id");
+    restoring_.push_back(lt);
+  }
   restored_count_ = 0;
 
   // Wipe storage wholesale: tombstones and free lists are artifacts of
@@ -398,12 +400,13 @@ void Simulation::begin_restore(BinaryReader& r) {
   in_restore_ = true;
 }
 
-TimerId Simulation::schedule_restored(TimerId id, TimePoint t,
-                                      std::uint64_t seq, Callback cb) {
+TimerId Simulation::schedule_restored(TimerId id, Callback cb) {
   RIV_ASSERT(in_restore_, "schedule_restored outside a restore window");
-  RIV_ASSERT(id >= 1 && id < next_id_, "restored timer id out of window");
-  RIV_ASSERT(seq < next_seq_, "restored timer seq out of window");
-  RIV_ASSERT(t >= now_, "restored timer fires in the past");
+  auto it = std::lower_bound(
+      restoring_.begin(), restoring_.end(), id,
+      [](const LiveTimer& lt, TimerId x) { return lt.id < x; });
+  RIV_ASSERT(it != restoring_.end() && it->id == id,
+             "restored timer was not live at capture");
   if (id < id_base_) {
     // Extend the ring window down to cover this id (capacity is bounded
     // by id span; see the ring comment above).
@@ -423,8 +426,8 @@ TimerId Simulation::schedule_restored(TimerId id, TimePoint t,
   RIV_ASSERT(id_lookup(id) == kNil, "duplicate restored timer id");
   std::uint32_t idx = alloc_node();
   Node& n = nodes_[idx];
-  n.t = t.us;
-  n.seq = seq;
+  n.t = it->t;
+  n.seq = it->seq;
   n.id = id;
   n.cancelled = false;
   n.cb = std::move(cb);
@@ -437,19 +440,24 @@ TimerId Simulation::schedule_restored(TimerId id, TimePoint t,
 
 void Simulation::finish_restore() {
   RIV_ASSERT(in_restore_, "finish_restore outside a restore window");
-  RIV_ASSERT(restored_count_ == expected_live_,
-             "restored live-timer count mismatch: a timer owner outside "
-             "the clone set was pending at capture");
+  // Every restored id was found in the list and none twice, so equal
+  // counts mean equal sets.
+  RIV_ASSERT(restored_count_ == restoring_.size(),
+             "restored timer set differs from the captured one: a timer "
+             "owner outside the clone set was pending at capture");
+  restoring_.clear();
   in_restore_ = false;
 }
 
-bool Simulation::timer_info(TimerId id, TimePoint* t,
-                            std::uint64_t* seq) const {
-  std::uint32_t idx = id_lookup(id);
-  if (idx == kNil) return false;
-  *t = TimePoint{nodes_[idx].t};
-  *seq = nodes_[idx].seq;
-  return true;
+bool Simulation::encode_timer(BinaryWriter& w, TimerId id) const {
+  const bool live = is_pending(id);
+  w.u8(live ? 1 : 0);
+  if (live) w.u64(id);
+  return live;
+}
+
+TimerId Simulation::decode_timer(BinaryReader& r) {
+  return r.u8() != 0 ? r.u64() : 0;
 }
 
 void Simulation::run_until(TimePoint t) {
@@ -479,9 +487,8 @@ TimerId ProcessTimers::schedule_at(TimePoint t, Simulation::Callback cb) {
   return id;
 }
 
-TimerId ProcessTimers::restore_at(TimerId id, TimePoint t, std::uint64_t seq,
-                                  Simulation::Callback cb) {
-  sim_->schedule_restored(id, t, seq, std::move(cb));
+TimerId ProcessTimers::restore_at(TimerId id, Simulation::Callback cb) {
+  sim_->schedule_restored(id, std::move(cb));
   owned_.push_back(id);
   return id;
 }

@@ -79,50 +79,43 @@ class Simulation : public Clock {
   // events/sec numerator).
   std::uint64_t events_fired() const { return events_fired_; }
 
-  // Serialize the kernel's logical state for a checkpoint: virtual time,
-  // counters, the RNG stream, and every live timer as (id, t, seq) sorted
-  // by seq. Slab layout, slot chains, free lists, the overflow/wheel
-  // split, and tombstones are storage artifacts and deliberately excluded,
-  // so two kernels that would fire the same timers in the same order
-  // always serialize identically. Callbacks are closures and cannot be
-  // serialized — see checkpoint/rivc.hpp for how restore() handles that.
-  void checkpoint_state(BinaryWriter& w) const;
-
-  // --- snapshot-clone support (DESIGN.md §16) ---------------------------
+  // --- state capture (DESIGN.md §13) -----------------------------------
   //
-  // The clone format splits responsibility: the kernel serializes only its
-  // scalar header (time, counters, RNG, live-timer count) — per-timer
-  // (id, t, seq) triples live with the components that own them, because
-  // only the owners can rebuild the callbacks. Restore is three-phase:
-  // begin_restore() wipes every existing timer and restores the header,
-  // each owner re-creates its timers via schedule_restored() with the
-  // exact original id/t/seq, and finish_restore() asserts the restored
-  // count matches the capture — a timer owned by anything outside the
+  // The kernel's share of the one state encoding: virtual time, counters,
+  // the RNG stream, and every live timer as (id, t, seq) sorted by id.
+  // Slab layout, slot chains, free lists, the overflow/wheel split and
+  // tombstones are storage artifacts and deliberately excluded, so two
+  // kernels that would fire the same timers in the same order always
+  // encode identically. Callbacks are closures and are not encoded: each
+  // timer's owner encodes what its callback needs plus the timer id, and
+  // rebuilds the closure on restore. Restore is three-phase:
+  // begin_restore() wipes every existing timer and loads the header and
+  // the timer list, each owner re-creates its timers through
+  // schedule_restored(), and finish_restore() asserts the restored set
+  // equals the captured list — a timer owned by anything outside the
   // restore set fails loudly instead of silently vanishing.
 
-  // Serialize the kernel scalar header. Must be called at rest (between
-  // run_until steps, never from inside a callback batch).
+  // Must be called at rest (between run_until steps, never from inside a
+  // callback batch).
   void clone_state(BinaryWriter& w) const;
 
-  // Wipe all pending timers and restore the scalar header. Requires an
-  // empty kernel (a freshly built, not-yet-started deployment): restored
-  // ids may collide with ids already handed out otherwise.
+  // Requires an empty kernel (a freshly built, not-yet-started
+  // deployment): restored ids may collide with ids already handed out
+  // otherwise.
   void begin_restore(BinaryReader& r);
 
-  // Re-create one live timer with its original identity. Only valid
-  // between begin_restore() and finish_restore(); id/seq must come from a
-  // capture of this kernel's restored header (id < next_id, seq <
-  // next_seq, t >= now).
-  TimerId schedule_restored(TimerId id, TimePoint t, std::uint64_t seq,
-                            Callback cb);
+  // Re-create the captured live timer `id`, at its captured (t, seq).
+  // Only valid between begin_restore() and finish_restore().
+  TimerId schedule_restored(TimerId id, Callback cb);
 
   // Assert every captured live timer was restored and close the restore.
   void finish_restore();
 
-  // Look up a pending timer's firing time and sequence (false when the
-  // timer already fired or was cancelled) — how owners capture the
-  // (id, t, seq) triples of the timers they track by id.
-  bool timer_info(TimerId id, TimePoint* t, std::uint64_t* seq) const;
+  // Owners encode a timer reference as a live flag plus, when live, its
+  // id; encode_timer returns the flag so callers can append the data the
+  // callback needs. decode_timer returns 0 for a timer that was not live.
+  bool encode_timer(BinaryWriter& w, TimerId id) const;
+  static TimerId decode_timer(BinaryReader& r);
 
  private:
   // --- wheel geometry ----------------------------------------------------
@@ -210,10 +203,16 @@ class Simulation : public Clock {
   TimerId id_base_{1};
   std::vector<std::uint32_t> id_map_;
 
-  // Restore bookkeeping (begin_restore .. finish_restore window).
+  // Restore bookkeeping (begin_restore .. finish_restore window): the
+  // captured live timers, sorted by id.
+  struct LiveTimer {
+    TimerId id;
+    std::int64_t t;
+    std::uint64_t seq;
+  };
   bool in_restore_{false};
-  std::uint64_t expected_live_{0};
-  std::uint64_t restored_count_{0};
+  std::vector<LiveTimer> restoring_;
+  std::size_t restored_count_{0};
 };
 
 // Timer façade owned by one simulated process. Crash semantics: when the
@@ -230,11 +229,10 @@ class ProcessTimers {
 
   TimerId schedule_after(Duration d, Simulation::Callback cb);
   TimerId schedule_at(TimePoint t, Simulation::Callback cb);
-  // Snapshot-clone restore: re-create an owned timer with its original
-  // identity (forwards to Simulation::schedule_restored and records
-  // ownership so crash-time cancel_all still covers it).
-  TimerId restore_at(TimerId id, TimePoint t, std::uint64_t seq,
-                     Simulation::Callback cb);
+  // Clone restore: re-create an owned timer with its captured identity
+  // (forwards to Simulation::schedule_restored and records ownership so
+  // crash-time cancel_all still covers it).
+  TimerId restore_at(TimerId id, Simulation::Callback cb);
   void cancel(TimerId id);
   void cancel_all();
 

@@ -129,20 +129,6 @@ void ReplicatedStore::anti_entropy() {
   });
 }
 
-void ReplicatedStore::clone_state(BinaryWriter& w) const {
-  checkpoint_state(w);
-  TimePoint t;
-  std::uint64_t seq;
-  bool syncing = sync_timer_ != 0 &&
-                 hooks_.timers->sim().timer_info(sync_timer_, &t, &seq);
-  w.u8(syncing ? 1 : 0);
-  if (syncing) {
-    w.u64(sync_timer_);
-    w.time_point(t);
-    w.u64(seq);
-  }
-}
-
 void ReplicatedStore::restore_clone(BinaryReader& r) {
   write_seq_ = r.u32();
   writes_ = r.u64();
@@ -159,14 +145,8 @@ void ReplicatedStore::restore_clone(BinaryReader& r) {
     e.writer = r.process_id();
     entries_[key] = e;
   }
-  if (r.u8() != 0) {
-    sim::TimerId tid = r.u64();
-    TimePoint t = r.time_point();
-    std::uint64_t seq = r.u64();
-    sync_timer_ = hooks_.timers->restore_at(tid, t, seq, [this] {
-      anti_entropy();
-    });
-  }
+  if (sim::TimerId id = sim::Simulation::decode_timer(r))
+    sync_timer_ = hooks_.timers->restore_at(id, [this] { anti_entropy(); });
 }
 
 void ReplicatedStore::on_update(const std::vector<std::byte>& payload) {

@@ -81,9 +81,12 @@ class ReplicatedStore {
   std::uint64_t merges_applied() const { return merges_applied_; }
   std::uint64_t merges_ignored() const { return merges_ignored_; }
 
-  // Serialize every replicated register and the write counters for a
-  // checkpoint (entries_ is ordered, so this is content-deterministic).
-  void checkpoint_state(BinaryWriter& w) const {
+  // --- state capture (DESIGN.md §13) ---------------------------------
+  // Every replicated register, the write counters (entries_ is ordered,
+  // so this is content-deterministic) and the anti-entropy timer.
+  // Restore requires a constructed-but-not-started store whose hooks are
+  // already wired (the runtime installs the closures first).
+  void clone_state(BinaryWriter& w) const {
     w.u32(write_seq_);
     w.u64(writes_);
     w.u64(merges_applied_);
@@ -96,13 +99,8 @@ class ReplicatedStore {
       w.u32(e.seq);
       w.process_id(e.writer);
     }
+    hooks_.timers->sim().encode_timer(w, sync_timer_);
   }
-
-  // --- snapshot-clone support (DESIGN.md §16) ------------------------
-  // Full state including the anti-entropy timer's (id, t, seq) identity.
-  // Restore requires a constructed-but-not-started store whose hooks are
-  // already wired (the runtime installs the closures first).
-  void clone_state(BinaryWriter& w) const;
   void restore_clone(BinaryReader& r);
 
  private:

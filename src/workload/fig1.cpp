@@ -108,11 +108,11 @@ TimePoint Fig1Deployment::end_time() const {
 sim::Simulation& Fig1Deployment::sim() { return impl_->sim; }
 
 void Fig1Deployment::checkpoint_sim(BinaryWriter& w) const {
-  impl_->sim.checkpoint_state(w);
+  impl_->sim.clone_state(w);
 }
 
 void Fig1Deployment::checkpoint_bus(BinaryWriter& w) const {
-  impl_->bus.checkpoint_state(w);
+  impl_->bus.clone_state(w);
 }
 
 Fig1Result Fig1Deployment::result() const {

@@ -56,8 +56,9 @@ Fig1Result run_fig1_deployment(const Fig1Options& options);
 // Stepwise form of the same deployment, for checkpointed long runs:
 // construct, start(), run_to() in chunks (chunking is behaviourally
 // invisible — the kernel's run_until is chunk-equivalent), harvest with
-// result() at the end. checkpoint_state() serializes the two layers a
-// Fig1 run owns ("sim.kernel" + "bus.devices"), which is what
+// result() at the end. checkpoint_sim()/checkpoint_bus() write the clone
+// encoding (DESIGN.md §13) of the two layers a Fig1 run owns
+// ("sim.kernel" + "bus.devices"), which is what
 // bench_fig1_deployment stores per RIVC boundary and byte-compares on
 // resume (restore is re-execution + attestation, as everywhere).
 class Fig1Deployment {
@@ -73,7 +74,8 @@ class Fig1Deployment {
   TimePoint end_time() const;
 
   sim::Simulation& sim();
-  // Serialize kernel state; the section split is the caller's business.
+  // Encode kernel / device state; the section split is the caller's
+  // business.
   void checkpoint_sim(BinaryWriter& w) const;
   void checkpoint_bus(BinaryWriter& w) const;
 

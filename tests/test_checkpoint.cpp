@@ -1,14 +1,14 @@
-// Checkpoint/fork & time-travel replay, proven correct by differential
-// testing.
+// Checkpoints, warm clones & time-travel replay, proven correct by
+// differential testing.
 //
 // The correctness contract is "restored ≡ uninterrupted, byte-for-byte,
 // traces and hashes included", and every test here is a differential:
 //
 //   * each blessed golden scenario is run with a mid-run checkpoint, the
-//     checkpoint is restored in a forked fresh process, and the restored
+//     checkpoint file is restored into a fresh scenario, and the restored
 //     run's complete trace must be byte-identical to the blessed golden
 //     file (same FNV-1a footer);
-//   * fork-per-seed chaos sweeps must produce, per seed, exactly the
+//   * clone-per-seed chaos sweeps must produce, per seed, exactly the
 //     fault trace a from-scratch run of that seed produces;
 //   * capture must be a pure function of logical state, pinned against
 //     the known sources of incidental divergence (StableStore hash-map
@@ -21,9 +21,10 @@
 #include <vector>
 
 #include "chaos/engine.hpp"
-#include "checkpoint/fork.hpp"
+#include "checkpoint/clone.hpp"
 #include "checkpoint/rivc.hpp"
 #include "checkpoint/scenario.hpp"
+#include "common/parallel.hpp"
 #include "sim/simulation.hpp"
 #include "sim/stable_store.hpp"
 #include "trace/trace.hpp"
@@ -62,8 +63,8 @@ std::string chaos_fingerprint(const chaos::ChaosResult& r) {
 }
 
 // One golden scenario end-to-end: checkpoint mid-run, prove the
-// checkpoint changed nothing, then restore from the file in a forked
-// fresh process and prove the restored run reproduces the blessed golden
+// checkpoint changed nothing, then restore from the file into a fresh
+// scenario and prove the restored run reproduces the blessed golden
 // byte-for-byte.
 void check_golden_scenario(const std::string& name) {
   SCOPED_TRACE(name);
@@ -94,26 +95,18 @@ void check_golden_scenario(const std::string& name) {
   EXPECT_EQ(sc->recorder()->hash(), golden_hash);
   EXPECT_EQ(sc->recorder()->size(), golden_records);
 
-  // --- restore in a fresh process ---------------------------------------
-  if (!checkpoint::fork_supported()) return;
+  // --- restore from the file into a fresh scenario ----------------------
+  sc.reset();
   const std::string trace_path = rivc_path + ".trace";
-  checkpoint::ForkResult child =
-      checkpoint::fork_run([&rivc_path, &trace_path]() -> std::string {
-        checkpoint::Snapshot loaded;
-        std::string cerr;
-        if (!checkpoint::load(rivc_path, &loaded, &cerr))
-          return "load failed: " + cerr;
-        checkpoint::RestoreReport rep = checkpoint::restore(loaded);
-        if (!rep.ok) return "restore failed: " + rep.error;
-        rep.scenario->run_to(rep.scenario->end_time());
-        rep.scenario->finish();
-        std::shared_ptr<trace::Recorder> rec = rep.scenario->recorder();
-        if (!rec->save(trace_path, &cerr)) return "save failed: " + cerr;
-        return "hash=" + rec->digest() +
-               " records=" + std::to_string(rec->size());
-      });
-  ASSERT_TRUE(child.ok) << child.payload;
-  EXPECT_EQ(child.payload,
+  checkpoint::Snapshot loaded;
+  ASSERT_TRUE(checkpoint::load(rivc_path, &loaded, &err)) << err;
+  checkpoint::RestoreReport rep = checkpoint::restore(loaded);
+  ASSERT_TRUE(rep.ok) << rep.error;
+  rep.scenario->run_to(rep.scenario->end_time());
+  rep.scenario->finish();
+  std::shared_ptr<trace::Recorder> rec = rep.scenario->recorder();
+  ASSERT_TRUE(rec->save(trace_path, &err)) << err;
+  EXPECT_EQ("hash=" + rec->digest() + " records=" + std::to_string(rec->size()),
             "hash=" + golden.digest() +
                 " records=" + std::to_string(golden_records));
   // The restored run's saved trace is byte-identical to the blessed
@@ -154,11 +147,10 @@ TEST(CheckpointGolden, TamperedSectionFailsAttestation) {
   EXPECT_NE(rep.error.find("proc.1"), std::string::npos) << rep.error;
 }
 
-// fork-per-seed ≡ fresh-per-seed: N seeds run as forked children off one
-// shared warm-up must produce exactly the fault traces and outcomes of N
+// clone-per-seed ≡ fresh-per-seed: N seeds run as clones of one shared
+// warm session must produce exactly the fault traces and outcomes of N
 // independent from-scratch runs arming the same plans at the same time.
-TEST(CheckpointFork, ForkPerSeedMatchesFreshRuns) {
-  if (!checkpoint::fork_supported()) GTEST_SKIP() << "no fork(2)";
+TEST(CheckpointClone, ClonePerSeedMatchesFreshRuns) {
   const Duration warmup = seconds(2);
   const std::vector<std::uint64_t> seeds = {101, 202, 303};
   auto make_options = [] {
@@ -181,22 +173,47 @@ TEST(CheckpointFork, ForkPerSeedMatchesFreshRuns) {
     fresh.push_back(chaos_fingerprint(r));
   }
 
-  chaos::ChaosSession shared(make_options());
-  shared.run_to(TimePoint{} + warmup);
-  std::vector<checkpoint::ForkResult> forked = checkpoint::fork_sweep(
-      seeds.size(), 2, [&shared, &seeds](std::size_t i) {
-        shared.arm_plan(seeds[i], seconds(2));
-        shared.run_to(shared.run_end());
+  checkpoint::WarmImage img;
+  {
+    chaos::ChaosSession shared(make_options());
+    shared.run_to(TimePoint{} + warmup);
+    checkpoint::capture_warm_session(shared, img);
+  }
+  const std::vector<std::string> cloned = parallel_map<std::string>(
+      2, seeds.size(), [&img, &seeds, &make_options](std::size_t i) {
+        std::unique_ptr<chaos::ChaosSession> s =
+            checkpoint::clone_warm_session(img, make_options());
+        s->arm_plan(seeds[i], seconds(2));
+        s->run_to(s->run_end());
         chaos::ChaosResult r;
-        shared.finish(r);
+        s->finish(r);
         return chaos_fingerprint(r);
       });
 
-  ASSERT_EQ(forked.size(), seeds.size());
-  for (std::size_t i = 0; i < seeds.size(); ++i) {
-    ASSERT_TRUE(forked[i].ok) << "seed " << seeds[i];
-    EXPECT_EQ(forked[i].payload, fresh[i]) << "seed " << seeds[i];
+  ASSERT_EQ(cloned.size(), seeds.size());
+  for (std::size_t i = 0; i < seeds.size(); ++i)
+    EXPECT_EQ(cloned[i], fresh[i]) << "seed " << seeds[i];
+}
+
+// A session holds plan timers whose actions are not encoded once a plan
+// is armed, so cloning one is refused rather than silently dropping them.
+TEST(CheckpointClone, ArmedSessionIsNeverCloned) {
+  // Earlier tests started WorkerPool threads: re-exec for the death test.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  chaos::EngineOptions opt;
+  opt.scenario.seed = 11;
+  opt.scenario.n_processes = 3;
+  opt.plan.horizon = seconds(8);
+  opt.defer_plan = true;
+  checkpoint::WarmImage img;
+  {
+    chaos::ChaosSession session(opt);
+    session.run_to(TimePoint{} + seconds(1));
+    session.arm_plan(101, seconds(1));
+    checkpoint::capture_warm_session(session, img);
   }
+  EXPECT_DEATH(checkpoint::clone_warm_session(img, opt),
+               "never cloned after arm_plan");
 }
 
 TEST(CheckpointRivc, EncodeDecodeRoundTrips) {
@@ -277,8 +294,8 @@ TEST(CheckpointDeterminismPins, ChunkedRunEqualsMonolithicRun) {
 }
 
 // StableStore is the one unordered container on a state-affecting path:
-// its checkpoint serialization must not depend on insertion order or
-// rehash history (the sort in checkpoint_state is load-bearing).
+// its encoding must not depend on insertion order or rehash history (the
+// sort in clone_state is load-bearing).
 TEST(CheckpointDeterminismPins, StableStoreOrder) {
   auto value = [](int i) {
     return std::vector<std::byte>{std::byte(i), std::byte(i / 7)};
@@ -296,8 +313,8 @@ TEST(CheckpointDeterminismPins, StableStoreOrder) {
   for (int i = 0; i < 64; ++i) descending.erase("churn/" + std::to_string(i));
 
   BinaryWriter wa, wb;
-  ascending.checkpoint_state(wa);
-  descending.checkpoint_state(wb);
+  ascending.clone_state(wa);
+  descending.clone_state(wb);
   EXPECT_EQ(wa.take(), wb.take());
 }
 
@@ -321,7 +338,7 @@ TEST(CheckpointDeterminismPins, TimerCancelOrderIndependence) {
     }
     sim.run_for(seconds(1));
     BinaryWriter w;
-    sim.checkpoint_state(w);
+    sim.clone_state(w);
     return w.take();
   };
   EXPECT_EQ(capture(false), capture(true));

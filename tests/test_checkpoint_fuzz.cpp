@@ -105,11 +105,13 @@ TEST(CheckpointFuzz, TrailingBytesAreRejected) {
 }
 
 // Unknown versions must be reported with the exact pinned message — the
-// string a user sees when feeding a new-format checkpoint to an old
-// build — and must be detected before the footer check, so the message
-// names the version instead of a useless hash mismatch.
+// string a user sees when feeding a checkpoint from another format to
+// this build — and must be detected before the footer check, so the
+// message names the version instead of a useless hash mismatch. Version
+// 1 is the previous format (separate checkpoint encoders, no timers in
+// the component sections) and must be refused like any other.
 TEST(CheckpointFuzz, WrongVersionsPinnedMessage) {
-  for (std::uint32_t version : {0u, 2u, 7u, 0xffffffffu}) {
+  for (std::uint32_t version : {0u, 1u, 3u, 7u, 0xffffffffu}) {
     // Re-encode with a patched version field and a recomputed (valid)
     // footer, so the version check alone rejects the file.
     std::vector<std::byte> wire = checkpoint::encode(sample_snapshot());
@@ -128,7 +130,7 @@ TEST(CheckpointFuzz, WrongVersionsPinnedMessage) {
     std::string err;
     EXPECT_FALSE(checkpoint::decode(wire, &out, &err));
     EXPECT_EQ(err, "unsupported checkpoint version " +
-                       std::to_string(version) + " (this build reads 1)");
+                       std::to_string(version) + " (this build reads 2)");
   }
 }
 

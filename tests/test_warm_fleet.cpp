@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "checkpoint/clone.hpp"
@@ -144,11 +146,57 @@ TEST(WarmFleet, FullAttestationPassesAndChangesNothing) {
   warm.homes = 8;
   warm.warm.enabled = true;
   const FleetResult base = run_fleet(warm);
-  // Byte-attest every clone against the PR 7 checkpoint surface: an
+  // Byte-attest every clone against the image it was restored from: an
   // honest build must pass, and attestation must not perturb results.
   warm.warm.attest_sample = 1.0;
   const FleetResult attested = run_fleet(warm);
   expect_equal_results(base, attested);
+}
+
+// The negative control for the test above: a clone changed in one layer
+// after apply must fail attestation with that layer's section named (an
+// attest_clone that always returned "" would pass every other test).
+TEST(WarmFleet, AttestationNamesTheChangedLayer) {
+  PopulationModel model;
+  model.sim_duration = seconds(2);
+  const HomeSpec spec = sample_home(model, 7, 3);
+  auto source = build_home(spec);
+  source->start();
+  source->run_for(seconds(1));
+  checkpoint::WarmImage img;
+  checkpoint::capture_warm_home(*source, spec.seed, img);
+
+  auto clone_of = [&] {
+    auto clone = build_home(spec);
+    std::string err;
+    EXPECT_TRUE(checkpoint::apply_warm_home(img, *clone, spec.seed, &err))
+        << err;
+    EXPECT_EQ(checkpoint::attest_clone(img, *clone), "");
+    return clone;
+  };
+
+  // Devices: salt one sensor's RNG stream.
+  auto devices = clone_of();
+  devices->bus().sensor(devices->bus().sensors().front()).perturb(0x5a17);
+  const std::string dev_diff = checkpoint::attest_clone(img, *devices);
+  EXPECT_NE(dev_diff.find("section 'bus.devices'"), std::string::npos)
+      << dev_diff;
+
+  // One process: a stable-storage write on its host.
+  auto proc = clone_of();
+  const ProcessId victim = proc->processes().back();
+  proc->process(victim).store().put("attest/probe", {std::byte{1}});
+  const std::string proc_diff = checkpoint::attest_clone(img, *proc);
+  EXPECT_NE(proc_diff.find("section 'proc." + std::to_string(victim.value) +
+                           "'"),
+            std::string::npos)
+      << proc_diff;
+
+  // The clock: time moving on shows up in the kernel section first.
+  auto kernel = clone_of();
+  kernel->run_for(milliseconds(1));
+  EXPECT_NE(checkpoint::attest_clone(img, *kernel).find("snapshot time"),
+            std::string::npos);
 }
 
 // --- identity-mismatch rejection ------------------------------------------
@@ -160,11 +208,10 @@ TEST(WarmFleet, ApplyRejectsWrongHome) {
   const HomeSpec b = sample_home(model, 7, 1);
 
   auto source = build_home(a);
-  checkpoint::enable_clone_tracking(*source);
   source->start();
   source->run_for(seconds(1));
   checkpoint::WarmImage img;
-  checkpoint::capture_warm_home(*source, a.seed, img, /*with_attest=*/false);
+  checkpoint::capture_warm_home(*source, a.seed, img);
 
   // Different home seed: rejected cleanly, with the reason observable.
   auto target = build_home(b);
@@ -185,11 +232,10 @@ TEST(WarmFleet, ApplyRejectsWrongShape) {
   model.sim_duration = seconds(2);
   const HomeSpec spec = sample_home(model, 7, 0);
   auto source = build_home(spec);
-  checkpoint::enable_clone_tracking(*source);
   source->start();
   source->run_for(seconds(1));
   checkpoint::WarmImage img;
-  checkpoint::capture_warm_home(*source, spec.seed, img, false);
+  checkpoint::capture_warm_home(*source, spec.seed, img);
 
   // Forge a deployment-level identity mismatch without touching the
   // blobs: the gate fires before any restore call runs.
@@ -224,11 +270,15 @@ TEST(WorkerPool, PersistsAcrossCallsAndStaysByteIdentical) {
 
 TEST(WorkerPool, PropagatesFirstExceptionAndStopsClaiming) {
   std::atomic<int> ran{0};
+  // Items take a little time, so the queue cannot drain in the instant
+  // between one worker claiming item 3 and that worker throwing.
   EXPECT_THROW(
       parallel_map<int>(4, 1000,
                         [&](std::size_t i) {
                           ran.fetch_add(1);
                           if (i == 3) throw std::runtime_error("boom");
+                          std::this_thread::sleep_for(
+                              std::chrono::microseconds(100));
                           return 0;
                         }),
       std::runtime_error);

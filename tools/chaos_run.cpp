@@ -26,8 +26,8 @@
 #include <vector>
 
 #include "chaos/engine.hpp"
-#include "checkpoint/fork.hpp"
 #include "common/parallel.hpp"
+#include "checkpoint/clone.hpp"
 #include "checkpoint/rivc.hpp"
 #include "checkpoint/scenario.hpp"
 
@@ -77,11 +77,10 @@ struct CliOptions {
   // Resume mode: load a .rivc file, restore (attested re-execution),
   // run the remaining virtual time, report the outcome.
   std::string from_checkpoint;
-  // Fork-per-seed sweep: warm ONE session (workload seed = first seed)
-  // to this many virtual seconds, then fork(2) a child per seed that
-  // arms that seed's fault plan against the shared in-memory state.
-  // < 0 means off.
-  std::int64_t fork_warmup_s{-1};
+  // Warm sweep: warm ONE session (workload seed = first seed) to this
+  // many virtual seconds, then clone it once per seed and arm that seed's
+  // fault plan against the shared warm state. < 0 means off.
+  std::int64_t warm_sweep_s{-1};
 };
 
 void usage(const char* argv0) {
@@ -126,11 +125,11 @@ void usage(const char* argv0) {
       "  --from-checkpoint F   restore F (attested re-execution), run the\n"
       "                        remaining virtual time, report the outcome;\n"
       "                        all scenario flags are read from the file\n"
-      "  --fork-sweep W        warm one session W virtual seconds, then\n"
-      "                        fork(2) a child per seed that arms that\n"
-      "                        seed's fault plan against the shared state\n"
-      "                        (workload seed = first seed; --jobs children\n"
-      "                        in flight)\n"
+      "  --warm-sweep W        warm one session W virtual seconds, then\n"
+      "                        clone it per seed and arm that seed's fault\n"
+      "                        plan against the shared state (workload\n"
+      "                        seed = first seed; --jobs clones at once;\n"
+      "                        --trace*/--metrics do not apply)\n"
       "  --quiet               only print failures and the final summary\n",
       argv0);
 }
@@ -481,34 +480,40 @@ int run_from_checkpoint(const CliOptions& cli) {
   return report_outcome(report, o) ? 1 : 0;
 }
 
-// --fork-sweep W: one warm-up shared by every seed, then fork(2)-per-seed
-// divergence. The workload seed is seeds[0]; each child arms seed i's
-// fault plan at the fork point, so the sweep varies the fault schedule
-// over an identical in-memory warm state (test_checkpoint proves each
-// child's outcome equals a fresh run of the same configuration).
-int run_fork_sweep(const CliOptions& cli) {
-  if (!checkpoint::fork_supported()) {
-    std::fprintf(stderr, "--fork-sweep needs fork(2); unsupported here\n");
-    return 2;
-  }
+// --warm-sweep W: one warm-up shared by every seed, then one clone of the
+// warm session per seed. The workload seed is seeds[0]; each clone arms
+// seed i's fault plan at the warm-up point, so the sweep varies the fault
+// schedule over an identical warm state (test_checkpoint proves each
+// clone's outcome equals a fresh run of the same configuration). Clones
+// run on the WorkerPool (--jobs); lines print in seed order.
+int run_warm_sweep(const CliOptions& cli) {
   chaos::EngineOptions opt = build_engine_options(cli, cli.seeds[0]);
   opt.defer_plan = true;
-  const Duration warmup = seconds(cli.fork_warmup_s);
-  chaos::ChaosSession warm(std::move(opt));
-  warm.run_to(TimePoint{} + warmup);
+  // Sweep lines carry no flight trace or metrics timeline.
+  opt.flight = false;
+  opt.flight_ring_bytes = 0;
+  opt.metrics_period = {};
+  const Duration warmup = seconds(cli.warm_sweep_s);
+  checkpoint::WarmImage img;
+  {
+    chaos::ChaosSession warm(opt);
+    warm.run_to(TimePoint{} + warmup);
+    checkpoint::capture_warm_session(warm, img);
+  }
   if (!cli.quiet)
-    std::printf("fork-sweep: workload seed %llu warmed to %llds; forking "
+    std::printf("warm-sweep: workload seed %llu warmed to %llds; cloning "
                 "%zu plan seeds (%d jobs)\n",
                 static_cast<unsigned long long>(cli.seeds[0]),
-                static_cast<long long>(cli.fork_warmup_s),
-                cli.seeds.size(), cli.jobs);
-  std::vector<checkpoint::ForkResult> results = checkpoint::fork_sweep(
-      cli.seeds.size(), static_cast<std::size_t>(cli.jobs),
-      [&cli, &warm, warmup](std::size_t i) {
-        warm.arm_plan(cli.seeds[i], warmup);
-        warm.run_to(warm.run_end());
+                static_cast<long long>(cli.warm_sweep_s), cli.seeds.size(),
+                cli.jobs);
+  const std::vector<std::string> lines = parallel_map<std::string>(
+      cli.jobs, cli.seeds.size(), [&cli, &img, &opt, warmup](std::size_t i) {
+        std::unique_ptr<chaos::ChaosSession> s =
+            checkpoint::clone_warm_session(img, opt);
+        s->arm_plan(cli.seeds[i], warmup);
+        s->run_to(s->run_end());
         chaos::ChaosResult r;
-        warm.finish(r);
+        s->finish(r);
         std::string line =
             "seed " + std::to_string(cli.seeds[i]) +
             (r.ok() ? ": ok" : ": FAIL") +
@@ -527,16 +532,9 @@ int run_fork_sweep(const CliOptions& cli) {
         return line;
       });
   std::uint64_t failures = 0;
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const checkpoint::ForkResult& fr = results[i];
-    const bool failed = !fr.ok ||
-                        fr.payload.find(": FAIL") != std::string::npos;
-    if (!fr.ok) {
-      std::printf("seed %llu: FAIL (forked child died, status %d)\n",
-                  static_cast<unsigned long long>(cli.seeds[i]), fr.status);
-    } else if (!cli.quiet || failed) {
-      std::printf("%s\n", fr.payload.c_str());
-    }
+  for (const std::string& line : lines) {
+    const bool failed = line.find(": FAIL") != std::string::npos;
+    if (!cli.quiet || failed) std::printf("%s\n", line.c_str());
     if (failed) ++failures;
   }
   std::printf("%llu/%llu seeds clean\n",
@@ -621,10 +619,10 @@ int main(int argc, char** argv) {
       cli.checkpoint_dir = next();
     } else if (arg == "--from-checkpoint") {
       cli.from_checkpoint = next();
-    } else if (arg == "--fork-sweep") {
-      cli.fork_warmup_s = std::atoll(next());
-      if (cli.fork_warmup_s < 1) {
-        std::fprintf(stderr, "bad --fork-sweep warm-up\n");
+    } else if (arg == "--warm-sweep") {
+      cli.warm_sweep_s = std::atoll(next());
+      if (cli.warm_sweep_s < 1) {
+        std::fprintf(stderr, "bad --warm-sweep warm-up\n");
         return 2;
       }
     } else if (arg == "--quiet") {
@@ -651,7 +649,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (!cli.from_checkpoint.empty()) return run_from_checkpoint(cli);
-  if (cli.fork_warmup_s >= 0) return run_fork_sweep(cli);
+  if (cli.warm_sweep_s >= 0) return run_warm_sweep(cli);
 
   const std::vector<std::uint64_t>& seeds = cli.seeds;
 
