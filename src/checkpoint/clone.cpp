@@ -5,6 +5,7 @@
 #include "chaos/engine.hpp"
 #include "common/assert.hpp"
 #include "common/codec.hpp"
+#include "core/event_log.hpp"
 #include "metrics/metrics.hpp"
 #include "workload/deployment.hpp"
 
@@ -101,6 +102,19 @@ void check_subscriptions(workload::HomeDeployment& home) {
     if (home.process(p).up()) up.push_back(p);
   RIV_ASSERT(home.bus().subscribers() == up,
              "bus subscriptions differ from the set of up processes");
+}
+
+// An up process holds its event logs in memory only: the durable form is
+// written at the crash instant and erased on recovery, so the store of an
+// up process carries no copy of a log. Checked on every capture.
+void check_durable_logs(workload::HomeDeployment& home) {
+  for (ProcessId p : home.processes()) {
+    core::RivuletProcess& proc = home.process(p);
+    if (!proc.up()) continue;
+    for (const std::string& key : proc.store().keys_with_prefix("app"))
+      RIV_ASSERT(!core::EventLog::is_durable_key(key),
+                 "an up process's stable store holds an event-log key");
+  }
 }
 
 // The identity gate plus every home section, leaving the kernel restore
@@ -214,6 +228,7 @@ void enable_clone_tracking(workload::HomeDeployment& /*home*/) {}
 void capture_warm_home(workload::HomeDeployment& home, std::uint64_t seed,
                        WarmImage& out, bool /*with_attest*/) {
   check_subscriptions(home);
+  check_durable_logs(home);
   out.seed = seed;
   out.at = home.sim().now();
   out.n_processes = static_cast<std::uint32_t>(home.processes().size());

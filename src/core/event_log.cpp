@@ -77,8 +77,7 @@ bool EventLog::append(const devices::SensorEvent& e, PidSet s, PidSet v) {
       stream.monotone = false;
   }
   if (e.id.seq == stream.prefix_next) advance_prefix(stream);
-  persist(it->second);
-  evict(e.id.sensor, stream);
+  evict(stream);
   return true;
 }
 
@@ -88,13 +87,8 @@ void EventLog::merge_sets(EventId id, const PidSet& s, const PidSet& v) {
   auto it = sit->second.events.find(id.seq);
   if (it == sit->second.events.end()) return;
   StoredEvent& se = it->second;
-  // Re-persist only when the merge actually added knowledge; rewriting an
-  // identical record (the common duplicate-ring-message case) is a no-op
-  // for recovery and pure overhead.
-  std::size_t before = se.seen.size() + se.need.size();
   se.seen.insert(s.begin(), s.end());
   se.need.insert(v.begin(), v.end());
-  if (se.seen.size() + se.need.size() != before) persist(se);
 }
 
 const StoredEvent* EventLog::find(EventId id) const {
@@ -178,13 +172,7 @@ TimePoint EventLog::processed_watermark(SensorId sensor) const {
 
 void EventLog::advance_processed_watermark(SensorId sensor, TimePoint t) {
   TimePoint& hw = processed_hw_[sensor];
-  if (t <= hw) return;
-  hw = t;
-  if (store_ != nullptr) {
-    BinaryWriter w;
-    w.time_point(t);
-    store_->put(hw_key(sensor), w.take());
-  }
+  if (t > hw) hw = t;
 }
 
 std::size_t EventLog::size(SensorId sensor) const {
@@ -203,32 +191,17 @@ std::vector<SensorId> EventLog::sensors() const {
   return out;
 }
 
-void EventLog::persist(const StoredEvent& se) {
-  if (store_ == nullptr) return;
-  BinaryWriter w;
-  w.reserve(se.event.wire_size() + 2 +
-            2 * (se.seen.size() + se.need.size()));
-  devices::encode(w, se.event);
-  write_pid_set(w, se.seen);
-  write_pid_set(w, se.need);
-  store_->put(event_key(se.event.id), w.take());
-}
-
 std::string EventLog::retained_key(SensorId sensor) const {
   char buf[48];
   std::snprintf(buf, sizeof(buf), "app%u/fr/%u", app_.value, sensor.value);
   return buf;
 }
 
-void EventLog::evict(SensorId sensor, Stream& stream) {
-  bool evicted = false;
+void EventLog::evict(Stream& stream) {
   while (stream.events.size() > cap_) {
     std::uint32_t seq = stream.events.begin()->first;
-    if (store_ != nullptr)
-      store_->erase(event_key(stream.events.begin()->second.event.id));
     stream.events.erase(stream.events.begin());
     stream.first_retained = std::max(stream.first_retained, seq + 1);
-    evicted = true;
   }
   if (stream.prefix_next < stream.first_retained) {
     // Eviction jumped first_retained over the old prefix (the evicted
@@ -236,11 +209,43 @@ void EventLog::evict(SensorId sensor, Stream& stream) {
     stream.prefix_next = stream.first_retained;
     advance_prefix(stream);
   }
-  if (evicted && store_ != nullptr) {
-    BinaryWriter w;
-    w.u32(stream.first_retained);
-    store_->put(retained_key(sensor), w.take());
+}
+
+void EventLog::persist_durable() const {
+  if (store_ == nullptr) return;
+  for (const auto& [sensor, stream] : streams_) {
+    for (const auto& [seq, se] : stream.events) {
+      BinaryWriter w;
+      w.reserve(se.event.wire_size() + 2 +
+                2 * (se.seen.size() + se.need.size()));
+      devices::encode(w, se.event);
+      write_pid_set(w, se.seen);
+      write_pid_set(w, se.need);
+      store_->put(event_key(se.event.id), w.take());
+    }
+    // The floor starts at 1 and only eviction raises it.
+    if (stream.first_retained > 1) {
+      BinaryWriter w;
+      w.u32(stream.first_retained);
+      store_->put(retained_key(sensor), w.take());
+    }
   }
+  for (const auto& [sensor, t] : processed_hw_) {
+    if (t <= TimePoint{}) continue;
+    BinaryWriter w;
+    w.time_point(t);
+    store_->put(hw_key(sensor), w.take());
+  }
+}
+
+bool EventLog::is_durable_key(std::string_view key) {
+  // "app<id>/<kind>/...", kind one of ev (events), hw (watermarks) and fr
+  // (eviction floors).
+  if (key.substr(0, 3) != "app") return false;
+  const std::size_t slash = key.find('/');
+  if (slash == std::string_view::npos) return false;
+  const std::string_view kind = key.substr(slash + 1, 3);
+  return kind == "ev/" || kind == "hw/" || kind == "fr/";
 }
 
 void EventLog::recover() {
@@ -260,6 +265,7 @@ void EventLog::recover() {
     RIV_ASSERT(r.ok(), "corrupt stored event");
     streams_[se.event.id.sensor].events.emplace(se.event.id.seq,
                                                 std::move(se));
+    store_->erase(key);
   }
   std::snprintf(prefix, sizeof(prefix), "app%u/hw/", app_.value);
   for (const std::string& key : store_->keys_with_prefix(prefix)) {
@@ -268,6 +274,7 @@ void EventLog::recover() {
     SensorId sensor{
         static_cast<std::uint16_t>(std::stoul(key.substr(key.rfind('/') + 1)))};
     processed_hw_[sensor] = r.time_point();
+    store_->erase(key);
   }
   std::snprintf(prefix, sizeof(prefix), "app%u/fr/", app_.value);
   for (const std::string& key : store_->keys_with_prefix(prefix)) {
@@ -276,6 +283,7 @@ void EventLog::recover() {
     SensorId sensor{
         static_cast<std::uint16_t>(std::stoul(key.substr(key.rfind('/') + 1)))};
     streams_[sensor].first_retained = r.u32();
+    store_->erase(key);
   }
   // Rebuild the derived per-stream bookkeeping the fast paths rely on.
   for (auto& [sensor, stream] : streams_) {

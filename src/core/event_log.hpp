@@ -9,13 +9,16 @@
 //   * a newly promoted logic node can replay the backlog past the gossiped
 //     processed watermark (§5, Fig 7's post-failover spike).
 //
-// Entries are written through to the process's StableStore so they survive
-// crash/recover (§3.1's crash-recovery model).
+// The log lives in memory while its process is up. At the crash instant the
+// process writes the log's durable form to its StableStore, and recovery
+// reads it back and erases it, so the log's keys exist in the store only
+// while the process is down (§3.1's crash-recovery model).
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/pid_set.hpp"
@@ -33,7 +36,8 @@ struct StoredEvent {
 class EventLog {
  public:
   // `store` may be null (volatile log — used by tests); `cap` bounds the
-  // number of retained events per stream.
+  // number of retained events per stream. The log touches `store` only in
+  // persist_durable() and recover().
   EventLog(AppId app, sim::StableStore* store, std::size_t cap);
 
   bool seen(EventId id) const;
@@ -71,8 +75,17 @@ class EventLog {
   std::size_t size(SensorId sensor) const;
   std::vector<SensorId> sensors() const;
 
-  // Rebuild in-memory state from stable storage (crash recovery).
+  // --- crash recovery (DESIGN.md §4.3) --------------------------------
+  // Write the durable form to the store: the crash point. That form is
+  // each event in devices::encode form (narrow values quantized, chain and
+  // mac dropped) with its S/V sets, each stream's eviction floor if it
+  // evicted, and each processed watermark above zero.
+  void persist_durable() const;
+  // Rebuild in-memory state from the durable form, then erase it from the
+  // store.
   void recover();
+  // Is `key` one of the store keys persist_durable() writes, for any app?
+  static bool is_durable_key(std::string_view key);
 
   // --- state capture (DESIGN.md §13) ---------------------------------
   // The full log — per-stream retention bounds, every stored event with
@@ -111,8 +124,7 @@ class EventLog {
   std::string event_key(EventId id) const;
   std::string hw_key(SensorId sensor) const;
   std::string retained_key(SensorId sensor) const;
-  void persist(const StoredEvent& se);
-  void evict(SensorId sensor, Stream& stream);
+  void evict(Stream& stream);
   // Advance prefix_next over whatever contiguous run is now present.
   static void advance_prefix(Stream& stream);
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/assert.hpp"
-#include "common/log.hpp"
 #include "core/exec/placement.hpp"
 #include "core/wire.hpp"
 #include "trace/trace.hpp"
@@ -38,7 +37,9 @@ RivuletProcess::RivuletProcess(sim::Simulation& sim, net::SimNetwork& net,
 }
 
 RivuletProcess::~RivuletProcess() {
-  if (up_) crash();
+  // The home is going away for good, so nothing will recover this
+  // process: skip the durable log write.
+  if (up_) halt();
 }
 
 void RivuletProcess::deploy(
@@ -71,6 +72,11 @@ void RivuletProcess::start() {
 
 void RivuletProcess::crash() {
   if (!up_) return;
+  for (auto& [id, app] : apps_) app.log->persist_durable();
+  halt();
+}
+
+void RivuletProcess::halt() {
   up_ = false;
   if (trace::active(trace::Component::kRuntime)) {
     trace::emit(sim_->now(), self_, trace::Component::kRuntime,
@@ -111,6 +117,10 @@ store::ReplicatedStore& RivuletProcess::kv() {
 
 void RivuletProcess::build_state() {
   build_volatile_shell();
+  // Every log starts from what the last crash wrote (nothing on a first
+  // start). Hot deploys and clone restores skip this: an up process's
+  // store holds no log.
+  for (auto& [id, app] : apps_) app.log->recover();
 
   fd_->start();
   kv_->start();
@@ -196,7 +206,6 @@ void RivuletProcess::build_app_state(AppState& app,
 
   app.log = std::make_unique<EventLog>(graph.id, &store_,
                                        config_.event_log_cap);
-  app.log->recover();
   app.last_successor.reset();
   app.commands_seen.clear();
   app.pending_commands.clear();
@@ -512,8 +521,6 @@ void RivuletProcess::make_logic(AppId id, AppState& app) {
 }
 
 void RivuletProcess::promote(AppId id, AppState& app) {
-  RIV_INFO("exec", to_string(self_) << " promotes logic for app "
-                                    << app.graph->name);
   if (trace::active(trace::Component::kRuntime)) {
     trace::emit(sim_->now(), self_, trace::Component::kRuntime,
                 trace::Kind::kPromote, trace::fu(trace::Key::kApp, id.value));
@@ -531,8 +538,6 @@ void RivuletProcess::promote(AppId id, AppState& app) {
 }
 
 void RivuletProcess::demote(AppId id, AppState& app) {
-  RIV_INFO("exec", to_string(self_) << " demotes logic for app "
-                                    << app.graph->name);
   if (trace::active(trace::Component::kRuntime)) {
     trace::emit(sim_->now(), self_, trace::Component::kRuntime,
                 trace::Kind::kDemote, trace::fu(trace::Key::kApp, id.value));

@@ -10,10 +10,11 @@
 //   * processed-watermark gossip piggybacked on keep-alives (bounds the
 //     backlog a newly promoted logic node replays).
 //
-// Crash/recovery (§3.1): crash() halts everything — timers, message
-// handling, device subscription. recover() rebuilds volatile state from
-// the process's StableStore (event logs, watermarks). Deployed app graphs
-// are installed software and survive crashes.
+// Crash/recovery (§3.1): crash() writes each app's event log (events,
+// watermarks) to the process's StableStore, then halts everything —
+// timers, message handling, device subscription. recover() rebuilds
+// volatile state from that store. Deployed app graphs are installed
+// software and survive crashes.
 #pragma once
 
 #include <functional>
@@ -139,6 +140,8 @@ class RivuletProcess {
   // Construct an app's LogicInstance with runtime callbacks wired, not
   // started. promote() adds start/replay/announcement on top.
   void make_logic(AppId id, AppState& app);
+  // crash() without the durable log write; the destructor's teardown.
+  void halt();
   void teardown_state();
   void build_app_state(AppState& app, const std::map<ProcessId, int>& load);
   StreamState make_stream(AppState& app, const appmodel::SensorEdge& edge);

@@ -153,8 +153,7 @@ class Histogram {
 
 // Collects duration samples into a constant-memory Histogram. Percentiles
 // carry the histogram's <=6.25% relative bucketing error; count, mean and
-// max are exact. Mergeable across processes and seeds. Tests that assert
-// exact order statistics use ExactLatencyRecorder instead.
+// max are exact. Mergeable across processes and seeds.
 class LatencyRecorder {
  public:
   void record(Duration d) { hist_.record(d); }
@@ -172,42 +171,6 @@ class LatencyRecorder {
 
  private:
   Histogram hist_;
-};
-
-// The pre-histogram recorder: keeps every sample and sorts per
-// percentile() call. Unbounded memory, exact order statistics.
-class ExactLatencyRecorder {
- public:
-  void record(Duration d) { samples_.push_back(d); }
-  std::size_t count() const { return samples_.size(); }
-  bool empty() const { return samples_.empty(); }
-
-  Duration mean() const {
-    if (samples_.empty()) return {};
-    std::int64_t sum = 0;
-    for (Duration d : samples_) sum += d.us;
-    return {sum / static_cast<std::int64_t>(samples_.size())};
-  }
-
-  // q in [0, 1]; q = 0.5 is the median. Returns zero when empty.
-  Duration percentile(double q) const {
-    if (samples_.empty()) return {};
-    std::vector<Duration> sorted = samples_;
-    std::sort(sorted.begin(), sorted.end());
-    double idx = q * static_cast<double>(sorted.size() - 1);
-    return sorted[static_cast<std::size_t>(idx + 0.5)];
-  }
-
-  Duration max() const {
-    Duration m{};
-    for (Duration d : samples_) m = std::max(m, d);
-    return m;
-  }
-
-  void reset() { samples_.clear(); }
-
- private:
-  std::vector<Duration> samples_;
 };
 
 // Ordered (time, value) samples; used for timeline plots (Fig 7).

@@ -7,11 +7,12 @@
 // are atomic per key and survive crash/recover; volatile process state does
 // not.
 //
-// Writes sit on the event-log hot path (every appended event persists its
-// watermark), so the index is a hash map — O(1) amortized put/get instead
-// of a red-black-tree walk per key — and put() moves both key and value.
-// keys_with_prefix() sorts its (small, recovery-time-only) result so scan
-// order stays lexicographic and deterministic like the old ordered map.
+// Event logs reach the store only at a crash (their durable form, erased
+// again on recovery); the replicated KV writes through on every put. The
+// index is a hash map — O(1) amortized put/get instead of a red-black-tree
+// walk per key — and put() moves both key and value. keys_with_prefix()
+// sorts its (small, recovery-time-only) result so scan order stays
+// lexicographic and deterministic like an ordered map.
 #pragma once
 
 #include <algorithm>

@@ -17,6 +17,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -291,6 +292,67 @@ TEST(CheckpointDeterminismPins, ChunkedRunEqualsMonolithicRun) {
     return checkpoint::encode(sc->capture());
   };
   EXPECT_EQ(capture_at_end(true), capture_at_end(false));
+}
+
+// An event log reaches stable storage only at its process's crash instant
+// and leaves it on recovery. Every capture asserts that an up process's
+// store holds none of it; this run captures every 250 ms through a chaos
+// plan with crashes and must see down processes holding their logs and
+// some of them recover.
+TEST(CheckpointDurableLog, OnlyDownProcessesStoreTheirLog) {
+  chaos::EngineOptions opt;
+  opt.scenario.seed = 11;
+  opt.scenario.n_processes = 3;
+  opt.plan.horizon = seconds(12);
+  chaos::ChaosSession session(opt);
+  workload::HomeDeployment& home = session.home();
+  auto durable_keys = [&home](ProcessId p) {
+    std::size_t n = 0;
+    for (const std::string& key : home.process(p).store().keys_with_prefix(
+             "app"))
+      n += core::EventLog::is_durable_key(key) ? 1 : 0;
+    return n;
+  };
+  int down_with_log = 0;
+  int recovered = 0;
+  std::set<ProcessId> was_down;
+  checkpoint::WarmImage img;
+  for (TimePoint t = TimePoint{} + milliseconds(250); t <= session.run_end();
+       t = t + milliseconds(250)) {
+    session.run_to(t);
+    checkpoint::capture_warm_home(home, opt.scenario.seed, img);
+    for (ProcessId p : home.processes()) {
+      if (home.process(p).up()) {
+        EXPECT_EQ(durable_keys(p), 0u) << to_string(p) << " at " << t.us;
+        recovered += static_cast<int>(was_down.erase(p));
+      } else if (durable_keys(p) > 0) {
+        ++down_with_log;
+        was_down.insert(p);
+      }
+    }
+  }
+  EXPECT_GT(down_with_log, 0);
+  EXPECT_GT(recovered, 0);
+}
+
+// The negative control: one planted log key in an up process's store
+// stops the capture.
+TEST(CheckpointDurableLog, CaptureRefusesALogKeyInAnUpStore) {
+  // Earlier tests started WorkerPool threads: re-exec for the death test.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  chaos::EngineOptions opt;
+  opt.scenario.seed = 11;
+  opt.scenario.n_processes = 3;
+  opt.defer_plan = true;
+  chaos::ChaosSession session(opt);
+  session.run_to(TimePoint{} + seconds(1));
+  workload::HomeDeployment& home = session.home();
+  home.process(home.processes().front())
+      .store()
+      .put("app1/ev/1/0000000001", {std::byte{1}});
+  checkpoint::WarmImage img;
+  EXPECT_DEATH(checkpoint::capture_warm_home(home, opt.scenario.seed, img),
+               "holds an event-log key");
 }
 
 // StableStore is the one unordered container on a state-affecting path:

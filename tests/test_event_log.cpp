@@ -95,6 +95,7 @@ TEST(EventLog, RecoversFromStableStore) {
     log.append(ev(1, 2, 200), {ProcessId{1}}, {ProcessId{1}});
     log.append(ev(2, 7, 300), {}, {});
     log.advance_processed_watermark(SensorId{1}, TimePoint{150});
+    log.persist_durable();  // crash point
   }  // crash: the in-memory log dies
   EventLog recovered(AppId{1}, &store, 100);
   recovered.recover();
@@ -116,6 +117,8 @@ TEST(EventLog, RecoveryIsScopedPerApp) {
     a.append(ev(1, 1, 100), {}, {});
     EventLog b(AppId{2}, &store, 100);
     b.append(ev(1, 9, 100), {}, {});
+    a.persist_durable();  // crash point
+    b.persist_durable();
   }
   EventLog recovered(AppId{1}, &store, 100);
   recovered.recover();
@@ -127,11 +130,62 @@ TEST(EventLog, EvictionAlsoClearsStableStore) {
   sim::StableStore store;
   EventLog log(AppId{1}, &store, 2);
   for (std::uint32_t i = 1; i <= 5; ++i) log.append(ev(1, i, i), {}, {});
+  log.persist_durable();  // crash point
   EventLog recovered(AppId{1}, &store, 2);
   recovered.recover();
   EXPECT_EQ(recovered.size(SensorId{1}), 2u);
   EXPECT_TRUE(recovered.seen({SensorId{1}, 5}));
   EXPECT_FALSE(recovered.seen({SensorId{1}, 1}));
+}
+
+// The durable form holds what survives a crash and no more: a value in a
+// payload narrower than 8 bytes comes back quantized to milli-units, the
+// integrity trailer (chain, mac) comes back zero, a t=0 watermark is not
+// written, and the eviction floor is. Nothing reaches the store before the
+// crash point, and recovery erases what it read.
+TEST(EventLog, DurableFormPinsWhatSurvivesACrash) {
+  sim::StableStore store;
+  {
+    EventLog log(AppId{1}, &store, 2);
+    devices::SensorEvent narrow = ev(1, 1, 100);  // 4-byte payload
+    narrow.value = 1.23456;
+    narrow.chain = 0xc4a1;
+    narrow.mac = 0x3ac;
+    log.append(narrow, {ProcessId{1}}, {ProcessId{2}});
+    for (std::uint32_t i = 1; i <= 3; ++i)
+      log.append(ev(2, i, 100 * i), {}, {});  // cap 2: seq 1 evicted
+    log.advance_processed_watermark(SensorId{1}, TimePoint{});
+    log.advance_processed_watermark(SensorId{2}, TimePoint{250});
+    EXPECT_EQ(store.size(), 0u);
+    log.persist_durable();  // crash point
+  }
+  EXPECT_FALSE(store.contains("app1/hw/1"));
+  EXPECT_TRUE(store.contains("app1/hw/2"));
+  EXPECT_FALSE(store.contains("app1/fr/1"));
+  EXPECT_TRUE(store.contains("app1/fr/2"));
+
+  EventLog recovered(AppId{1}, &store, 2);
+  recovered.recover();
+  EXPECT_EQ(store.size(), 0u);
+  const StoredEvent* se = recovered.find({SensorId{1}, 1});
+  ASSERT_NE(se, nullptr);
+  EXPECT_DOUBLE_EQ(se->event.value, 1.235);
+  EXPECT_EQ(se->event.chain, 0u);
+  EXPECT_EQ(se->event.mac, 0u);
+  EXPECT_EQ(se->seen.count(ProcessId{1}), 1u);
+  EXPECT_EQ(se->need.count(ProcessId{2}), 1u);
+  EXPECT_EQ(recovered.processed_watermark(SensorId{2}), TimePoint{250});
+  EXPECT_FALSE(recovered.seen({SensorId{2}, 1}));
+  EXPECT_EQ(recovered.prefix_high_water(SensorId{2}), TimePoint{300});
+}
+
+TEST(EventLog, DurableKeysAreRecognised) {
+  EXPECT_TRUE(EventLog::is_durable_key("app1/ev/2/0000000003"));
+  EXPECT_TRUE(EventLog::is_durable_key("app12/hw/2"));
+  EXPECT_TRUE(EventLog::is_durable_key("app1/fr/2"));
+  EXPECT_FALSE(EventLog::is_durable_key("kv/app1/ev/2"));
+  EXPECT_FALSE(EventLog::is_durable_key("app1/evx"));
+  EXPECT_FALSE(EventLog::is_durable_key("app1"));
 }
 
 }  // namespace
@@ -182,6 +236,7 @@ TEST(EventLogPrefix, FloorSurvivesRecovery) {
     EventLog log(AppId{1}, &store, 3);
     for (std::uint32_t i = 1; i <= 6; ++i)
       log.append(ev(1, i, 100 * i), {}, {});
+    log.persist_durable();  // crash point
   }
   EventLog recovered(AppId{1}, &store, 3);
   recovered.recover();

@@ -130,6 +130,9 @@ TEST(Integration, CrashRecoveryRestoresEventLogFromStableStore) {
   home.process(2).crash();
   home.run_for(seconds(5));
   home.process(2).recover();
+  // Straight from stable storage, before anti-entropy can refill the log.
+  EXPECT_GE(home.process(2).event_log(AppId{1})->size(SensorId{1}),
+            events_before);
   home.run_for(seconds(1));
   core::EventLog* log_after = home.process(2).event_log(AppId{1});
   // The recovered incarnation reloaded everything it had persisted.

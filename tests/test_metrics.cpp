@@ -21,19 +21,6 @@ TEST(Counter, AddAndReset) {
   EXPECT_EQ(c.value(), 0u);
 }
 
-TEST(ExactLatencyRecorder, MeanAndPercentiles) {
-  ExactLatencyRecorder r;
-  EXPECT_TRUE(r.empty());
-  EXPECT_EQ(r.mean(), Duration{});
-  for (int i = 1; i <= 100; ++i) r.record(milliseconds(i));
-  EXPECT_EQ(r.count(), 100u);
-  EXPECT_EQ(r.mean(), Duration{50500});
-  EXPECT_EQ(r.percentile(0.5), milliseconds(51));  // index round(0.5*99)=50
-  EXPECT_EQ(r.percentile(0.0), milliseconds(1));
-  EXPECT_EQ(r.percentile(1.0), milliseconds(100));
-  EXPECT_EQ(r.max(), milliseconds(100));
-}
-
 // The histogram-backed recorder: count, mean, min and max stay exact;
 // interior percentiles carry at most the bucketing error (1/16 relative).
 TEST(LatencyRecorder, ExactStatsAndBoundedPercentileError) {
@@ -73,10 +60,18 @@ TEST(Histogram, SmallValuesAreExact) {
   EXPECT_EQ(h.percentile(0.5).us, 7);
 }
 
+// Exact order statistic: the rounded-rank element of the ascending samples
+// (q = 0.5 is the median).
+std::int64_t exact_percentile(const std::vector<std::int64_t>& sorted,
+                              double q) {
+  double idx = q * static_cast<double>(sorted.size() - 1);
+  return sorted[static_cast<std::size_t>(idx + 0.5)];
+}
+
 TEST(Histogram, PercentileErrorIsBoundedAcrossMagnitudes) {
-  // Compare against the exact recorder over four decades of values.
+  // Compare against exact order statistics over four decades of values.
   Histogram h;
-  ExactLatencyRecorder exact;
+  std::vector<std::int64_t> exact;
   std::uint64_t x = 88172645463325252ULL;  // xorshift
   for (int i = 0; i < 10000; ++i) {
     x ^= x << 13;
@@ -84,11 +79,12 @@ TEST(Histogram, PercentileErrorIsBoundedAcrossMagnitudes) {
     x ^= x << 17;
     std::int64_t v = static_cast<std::int64_t>(x % 10'000'000);  // < 10s
     h.record_us(v);
-    exact.record(Duration{v});
+    exact.push_back(v);
   }
-  EXPECT_EQ(h.count(), exact.count());
+  std::sort(exact.begin(), exact.end());
+  EXPECT_EQ(h.count(), exact.size());
   for (double q : {0.1, 0.5, 0.9, 0.99, 0.999}) {
-    double want = static_cast<double>(exact.percentile(q).us);
+    double want = static_cast<double>(exact_percentile(exact, q));
     double got = static_cast<double>(h.percentile(q).us);
     EXPECT_NEAR(got, want, want / 16.0 + 1.0) << "q=" << q;
   }
