@@ -13,7 +13,7 @@ std::string first_differing_field(const Record& a, const Record& b) {
   if (a.component != b.component) return "component";
   if (a.kind != b.kind) return "kind";
   if (a.prov != b.prov) return "prov";
-  if (a.detail != b.detail) return "detail";
+  if (a != b) return "detail";  // only the packed fields are left
   return "";
 }
 

@@ -6,9 +6,9 @@
 // static interned key table below, followed by a value whose wire shape
 // (varint, zigzag varint, id, inline string, ...) is fixed per key. Emit
 // sites write fields straight into the recorder's byte arena — no
-// formatting, no allocation — and rendering reconstructs the exact v2
-// detail string lazily at decode time, so trace_diff / trace_analyze /
-// golden comparisons keep their semantics byte for byte.
+// formatting, no allocation. Readers look values up by key id
+// (Record::u64/pid/str); only display renders them, reproducing the v2
+// detail string byte for byte (Record::detail()).
 //
 // Packed record layout (all multi-byte values are LEB128 varints):
 //
@@ -59,8 +59,8 @@ enum class VType : std::uint8_t {
 // name and value type are fixed here. kText is special: it renders bare
 // (no "name=" prefix) and carries free-form annotations (marks, fault
 // descriptions, link-transition verbs). Two ids may share a rendered
-// name with different types (kSrc/kSrcName) — renderings stay identical
-// to the v2 strings either way.
+// name with different types (kSrc/kSrcName): renderings stay identical
+// to the v2 strings, and lookups by key id keep the two apart.
 enum class Key : std::uint8_t {
   kText = 0,      // ""        kStr   bare free-form text
   kType = 1,      // "type"    kStr   net frame message type

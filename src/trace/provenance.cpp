@@ -12,31 +12,6 @@ namespace riv::trace {
 
 namespace {
 
-// Pull "key=value" out of a canonical detail string; empty when absent.
-std::string_view detail_value(std::string_view detail,
-                              std::string_view key) {
-  std::size_t pos = 0;
-  while (pos < detail.size()) {
-    std::size_t end = detail.find(' ', pos);
-    if (end == std::string_view::npos) end = detail.size();
-    std::string_view token = detail.substr(pos, end - pos);
-    if (token.size() > key.size() + 1 &&
-        token.substr(0, key.size()) == key && token[key.size()] == '=')
-      return token.substr(key.size() + 1);
-    pos = end + 1;
-  }
-  return {};
-}
-
-std::uint64_t parse_u64(std::string_view s) {
-  std::uint64_t v = 0;
-  for (char c : s) {
-    if (c < '0' || c > '9') break;
-    v = v * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  return v;
-}
-
 Stage stage_of(Kind k) {
   switch (k) {
     case Kind::kEmit: return Stage::kGenerated;
@@ -158,9 +133,8 @@ Analysis analyze(const std::vector<Record>& records,
 
     switch (r.kind) {
       case Kind::kPromote: {
-        std::uint32_t app = static_cast<std::uint32_t>(
-            parse_u64(detail_value(r.detail, "app")));
-        ++epoch[{r.process.value, app}];
+        ++epoch[{r.process.value,
+                 static_cast<std::uint32_t>(r.u64(Key::kApp))}];
         break;
       }
       case Kind::kCrash:
@@ -169,19 +143,15 @@ Analysis analyze(const std::vector<Record>& records,
       case Kind::kRecover:
         down.erase(r.process.value);
         break;
-      case Kind::kFault: {
-        std::string_view id = detail_value(r.detail, "id");
-        if (!id.empty()) {
+      case Kind::kFault:
+        if (r.has(Key::kFaultId)) {
           FaultSpan f;
-          f.fault_id = static_cast<int>(parse_u64(id));
+          f.fault_id = static_cast<int>(r.u64(Key::kFaultId));
           f.at_us = r.at.us;
-          std::size_t sp = r.detail.find(' ');
-          f.what = sp == std::string::npos ? std::string{}
-                                          : r.detail.substr(sp + 1);
+          f.what = r.str(Key::kText);
           a.faults.push_back(std::move(f));
         }
         break;
-      }
       default:
         break;
     }
@@ -203,8 +173,7 @@ Analysis analyze(const std::vector<Record>& records,
         c.ingest_processes.push_back(r.process);
     }
     if (s == Stage::kDelivered) {
-      std::uint32_t app = static_cast<std::uint32_t>(
-          parse_u64(detail_value(r.detail, "app")));
+      std::uint32_t app = static_cast<std::uint32_t>(r.u64(Key::kApp));
       DeliverKey key{r.prov, r.process.value, app,
                      epoch[{r.process.value, app}]};
       ++deliver_counts[key];
@@ -533,28 +502,7 @@ CheckResult check(const Analysis& a) {
 
 namespace {
 
-// The kText field renders bare (no "name=" prefix), so the attack /
-// verdict word is the one token without '=' in a canonical detail string.
-std::string_view bare_text(std::string_view detail) {
-  std::size_t pos = 0;
-  while (pos < detail.size()) {
-    std::size_t end = detail.find(' ', pos);
-    if (end == std::string_view::npos) end = detail.size();
-    std::string_view token = detail.substr(pos, end - pos);
-    if (!token.empty() && token.find('=') == std::string_view::npos)
-      return token;
-    pos = end + 1;
-  }
-  return {};
-}
-
-// "pN" -> N (0 when absent/malformed).
-std::uint64_t parse_pid(std::string_view s) {
-  if (s.size() < 2 || s[0] != 'p') return 0;
-  return parse_u64(s.substr(1));
-}
-
-// A ground-truth kByzantine marker, fields parsed once.
+// A ground-truth kByzantine marker, fields read once.
 struct Marker {
   std::int64_t at{0};
   std::uint64_t fault_id{0};
@@ -581,7 +529,7 @@ struct TamperRec {
 struct NetRec {
   std::int64_t at{0};
   bool is_drop{false};
-  std::string reason;  // empty for kSend
+  std::string_view reason;  // empty for kSend; views the audited record
   bool used{false};
 };
 
@@ -596,41 +544,42 @@ Audit audit(const std::vector<Record>& records) {
   std::vector<Marker> markers;
   std::vector<TamperRec> tampers;
   // Byzantine drops and per-frame transmission records, keyed by the
-  // frame tuple. Vectors stay time-ordered (records are).
-  using FrameKey = std::tuple<std::string, std::uint64_t, std::uint64_t>;
+  // frame tuple. Vectors stay time-ordered (records are). The type and
+  // reason view the audited records' fields, which outlive this call.
+  using FrameKey =
+      std::tuple<std::string_view, std::uint64_t, std::uint64_t>;
   std::map<FrameKey, std::vector<NetRec>> frames;
 
   for (const Record& r : records) {
     if (r.kind == Kind::kByzantine) {
       Marker m;
       m.at = r.at.us;
-      m.fault_id = parse_u64(detail_value(r.detail, "id"));
-      m.what = std::string(bare_text(r.detail));
+      m.fault_id = r.u64(Key::kFaultId);
+      m.what = r.str(Key::kText);
       m.prov = r.prov;
-      m.type = std::string(detail_value(r.detail, "type"));
-      m.src = parse_pid(detail_value(r.detail, "src"));
-      m.dst = parse_pid(detail_value(r.detail, "dst"));
+      m.type = r.str(Key::kType);
+      m.src = r.pid(Key::kSrc).value;
+      m.dst = r.pid(Key::kDst).value;
       markers.push_back(std::move(m));
     } else if (r.kind == Kind::kTamper) {
       TamperRec t;
       t.at = r.at.us;
       t.process = r.process.value;
-      t.what = std::string(bare_text(r.detail));
+      t.what = r.str(Key::kText);
       t.prov = r.prov;
-      t.type = std::string(detail_value(r.detail, "type"));
-      t.src = parse_pid(detail_value(r.detail, "src"));
+      t.type = r.str(Key::kType);
+      t.src = r.pid(Key::kSrc).value;
       tampers.push_back(std::move(t));
     } else if (r.component == Component::kNet &&
                (r.kind == Kind::kSend || r.kind == Kind::kDrop)) {
-      std::string type(detail_value(r.detail, "type"));
+      std::string_view type = r.str(Key::kType);
       if (type.empty()) continue;
       NetRec n;
       n.at = r.at.us;
       n.is_drop = r.kind == Kind::kDrop;
-      if (n.is_drop) n.reason = std::string(detail_value(r.detail, "reason"));
-      frames[{std::move(type), parse_pid(detail_value(r.detail, "src")),
-              parse_pid(detail_value(r.detail, "dst"))}]
-          .push_back(std::move(n));
+      if (n.is_drop) n.reason = r.str(Key::kReason);
+      frames[{type, r.pid(Key::kSrc).value, r.pid(Key::kDst).value}]
+          .push_back(n);
     }
   }
 
@@ -761,8 +710,8 @@ Audit audit(const std::vector<Record>& records) {
           continue;
         n.used = true;
         f.lost = true;
-        f.evidence = "frame lost in network (" + n.reason + ", " +
-                     fmt_at(n.at) + ")";
+        f.evidence = "frame lost in network (" + std::string(n.reason) +
+                     ", " + fmt_at(n.at) + ")";
         break;
       }
     }
@@ -793,8 +742,8 @@ Audit audit(const std::vector<Record>& records) {
     for (const NetRec& n : recs) {
       if (n.used || !n.is_drop || n.reason != "byzantine") continue;
       a.unattributed.push_back(
-          "kDrop reason=byzantine " + std::get<0>(key) + " p" +
-          std::to_string(std::get<1>(key)) + " -> p" +
+          "kDrop reason=byzantine " + std::string(std::get<0>(key)) +
+          " p" + std::to_string(std::get<1>(key)) + " -> p" +
           std::to_string(std::get<2>(key)) + " (" + fmt_at(n.at) + ")");
     }
   }

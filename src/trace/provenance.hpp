@@ -96,8 +96,8 @@ struct Duplicate {
   std::uint32_t deliveries{0};  // within the offending epoch
 };
 
-// One fault the chaos injector applied, parsed from its kFault record
-// ("id=N <action...>").
+// One fault the chaos injector applied, read from its kFault record
+// (kFaultId and the kText action description).
 struct FaultSpan {
   int fault_id{0};
   std::int64_t at_us{0};

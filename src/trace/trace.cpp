@@ -64,16 +64,17 @@ std::string to_string(const Record& r) {
     out += " ev=";
     out += riv::to_string(r.prov);
   }
-  if (!r.detail.empty()) {
+  std::string detail = r.detail();
+  if (!detail.empty()) {
     out += " ";
-    out += r.detail;
+    out += detail;
   }
   return out;
 }
 
 // --- packed-stream reading ------------------------------------------------
 
-namespace {
+namespace detail_impl {
 
 // A bounds-checked cursor over packed v3 bytes. Every read funnels
 // through here so a truncated / corrupt / adversarial stream can only
@@ -133,65 +134,148 @@ struct PackedReader {
     p += n;
     return v;
   }
+  // A kStr value: varint length + raw bytes.
+  std::string_view str() { return str(static_cast<std::size_t>(varint())); }
+
+  // Step over one value of `type`, checking bounds as a read would.
+  void skip(VType type) {
+    switch (type) {
+      case VType::kU64:
+      case VType::kI64:
+      case VType::kPid:
+      case VType::kAct:
+        varint();
+        return;
+      case VType::kEvent:
+      case VType::kCmd:
+        varint();
+        varint();
+        return;
+      case VType::kStr:
+        str();
+        return;
+      case VType::kView:
+        for (std::uint64_t n = varint(), i = 0; i < n && ok(); ++i) varint();
+        return;
+    }
+    ok_ = false;
+  }
 };
+
+}  // namespace detail_impl
+
+using detail_impl::PackedReader;
+
+namespace {
+
+PackedReader reader_of(const std::string& bytes) {
+  const auto* p = reinterpret_cast<const std::byte*>(bytes.data());
+  return PackedReader{p, p + bytes.size()};
+}
+
+// Position `r` at the value of the first field with key `k`; false when
+// there is none. The bytes were validated when the record was decoded.
+bool seek(PackedReader& r, Key k) {
+  while (r.remaining() > 0) {
+    std::uint8_t key = r.u8();
+    if (key >= kKeyCount) return false;
+    if (key == static_cast<std::uint8_t>(k)) return true;
+    r.skip(kKeyTable[key].type);
+    if (!r.ok()) return false;
+  }
+  return false;
+}
 
 void append_u64(std::string& out, std::uint64_t v) { out += std::to_string(v); }
 
 // Render one field's value in the canonical v2 textual form.
-bool render_value(PackedReader& r, VType type, std::string& out) {
+void render_value(PackedReader& r, VType type, std::string& out) {
   switch (type) {
     case VType::kU64:
       append_u64(out, r.varint());
-      return r.ok();
+      return;
     case VType::kI64:
       out += std::to_string(unzigzag(r.varint()));
-      return r.ok();
+      return;
     case VType::kPid:
       out += 'p';
       append_u64(out, r.varint());
-      return r.ok();
-    case VType::kStr: {
-      std::uint64_t n = r.varint();
-      if (!r.ok() || n > r.remaining()) return false;
-      out += r.str(static_cast<std::size_t>(n));
-      return r.ok();
-    }
-    case VType::kEvent: {
+      return;
+    case VType::kStr:
+      out += r.str();
+      return;
+    case VType::kEvent:
       out += 's';
       append_u64(out, r.varint());
       out += '#';
       append_u64(out, r.varint());
-      return r.ok();
-    }
-    case VType::kCmd: {
+      return;
+    case VType::kCmd:
       out += 'p';
       append_u64(out, r.varint());
       out += '!';
       append_u64(out, r.varint());
-      return r.ok();
-    }
+      return;
     case VType::kAct:
       out += 'a';
       append_u64(out, r.varint());
-      return r.ok();
+      return;
     case VType::kView: {
       std::uint64_t n = r.varint();
-      if (!r.ok() || n > r.remaining()) return false;
-      for (std::uint64_t i = 0; i < n; ++i) {
+      for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
         if (i != 0) out += '+';
         out += 'p';
         append_u64(out, r.varint());
       }
-      return r.ok();
+      return;
     }
   }
-  return false;
+}
+
+}  // namespace
+
+bool Record::has(Key k) const {
+  PackedReader r = reader_of(fields_);
+  return seek(r, k);
+}
+
+std::uint64_t Record::u64(Key k) const {
+  PackedReader r = reader_of(fields_);
+  if (detail_impl::type_of(k) != VType::kU64 || !seek(r, k)) return 0;
+  return r.varint();
+}
+
+ProcessId Record::pid(Key k) const {
+  PackedReader r = reader_of(fields_);
+  if (detail_impl::type_of(k) != VType::kPid || !seek(r, k)) return {};
+  return ProcessId{static_cast<std::uint16_t>(r.varint())};
+}
+
+std::string_view Record::str(Key k) const {
+  PackedReader r = reader_of(fields_);
+  if (detail_impl::type_of(k) != VType::kStr || !seek(r, k)) return {};
+  return r.str();
+}
+
+std::string Record::detail() const {
+  std::string out;
+  PackedReader r = reader_of(fields_);
+  for (bool first = true; r.remaining() > 0; first = false) {
+    const KeyInfo& info = kKeyTable[r.u8()];
+    if (!first) out += ' ';
+    if (info.name[0] != '\0') {
+      out += info.name;
+      out += '=';
+    }
+    render_value(r, info.type, out);
+  }
+  return out;
 }
 
 // Decode one packed record. Returns false on any structural problem
 // (bad flags/kind/key, truncation, over-long varint). `last_time` is the
 // delta base, updated on success.
-bool decode_one(PackedReader& r, TimePoint& last_time, Record& out) {
+bool decode_record(PackedReader& r, TimePoint& last_time, Record& out) {
   std::uint8_t flags = r.u8();
   if (!r.ok()) return false;
   std::uint8_t comp = flags & kFlagComponentMask;
@@ -217,22 +301,17 @@ bool decode_one(PackedReader& r, TimePoint& last_time, Record& out) {
   }
   std::uint8_t nfields = r.u8();
   if (!r.ok()) return false;
-  out.detail.clear();
+  const std::byte* fields = r.p;
   for (std::uint8_t i = 0; i < nfields; ++i) {
     std::uint8_t key = r.u8();
     if (!r.ok() || key >= kKeyCount) return false;
-    const KeyInfo& info = kKeyTable[key];
-    if (i != 0) out.detail += ' ';
-    if (info.name[0] != '\0') {
-      out.detail += info.name;
-      out.detail += '=';
-    }
-    if (!render_value(r, info.type, out.detail)) return false;
+    r.skip(kKeyTable[key].type);
+    if (!r.ok()) return false;
   }
+  out.fields_.assign(reinterpret_cast<const char*>(fields),
+                     static_cast<std::size_t>(r.p - fields));
   return true;
 }
-
-}  // namespace
 
 // --- Recorder -------------------------------------------------------------
 
@@ -360,17 +439,6 @@ void Recorder::commit(TimePoint at, ProcessId process, Component component,
   retained_records_ += 1;
 }
 
-void Recorder::append(const Record& r) {
-  if (!wants(r.component)) return;
-  scratch_used_ = 0;
-  std::uint8_t nfields = 0;
-  if (!r.detail.empty()) {
-    put_field(FieldStr{Key::kText, r.detail});
-    nfields = 1;
-  }
-  commit(r.at, r.process, r.component, r.kind, r.prov, nfields);
-}
-
 std::vector<Record> Recorder::records() const {
   std::vector<Record> out;
   out.reserve(retained_records_);
@@ -379,7 +447,8 @@ std::vector<Record> Recorder::records() const {
     PackedReader r{c.data.get(), c.data.get() + c.used};
     for (std::uint32_t i = 0; i < c.n_records; ++i) {
       Record rec;
-      if (!decode_one(r, last, rec)) return out;  // cannot happen: we wrote it
+      // Cannot fail: the recorder wrote these bytes.
+      if (!decode_record(r, last, rec)) return out;
       out.push_back(std::move(rec));
     }
   }
@@ -455,7 +524,7 @@ bool Recorder::decode(const std::vector<std::byte>& buf, Recorder* out,
       ++r.p;
       break;
     }
-    if (!decode_one(r, last, scratch_rec)) {
+    if (!decode_record(r, last, scratch_rec)) {
       if (error)
         *error = "malformed record " + std::to_string(walked);
       return false;

@@ -17,9 +17,10 @@
 // append-only byte arena owned by the Recorder — no detail-string
 // formatting and no per-record allocation on the hot path. The rolling
 // FNV-1a determinism hash is folded over the packed bytes as they are
-// written. Reading the trace back (records(), trace_diff, trace_analyze)
-// decodes lazily, rendering each record's fields into the same canonical
-// "key=value key=value" detail string the v2 recorder stored eagerly.
+// written. Reading the trace back (records()) copies each record's packed
+// fields section out of the arena unrendered: analysis (provenance,
+// audit) reads values by key, and only display code renders them into
+// the canonical "key=value key=value" detail text (Record::detail()).
 //
 // Recording is scoped, not global configuration: installing a Recorder via
 // trace::Scope makes it the current sink; with no recorder installed every
@@ -93,25 +94,48 @@ enum class Kind : std::uint8_t {
 inline constexpr int kKindCount = 23;
 const char* to_string(Kind k);
 
+namespace detail_impl {
+struct PackedReader;
+}
+
 // The decoded view of one record. The packed arena is the source of
-// truth; a Record is materialised on demand by records()/decode, with
-// `detail` rendered from the typed fields in the canonical
-// "key=value key=value" form (identical to what v2 stored eagerly), so
-// diffing, provenance analysis and goldens keep their exact semantics.
-struct Record {
+// truth; a Record is materialised on demand by records(), carrying its
+// packed fields section verbatim (no rendering). Analysis reads values by
+// key through the typed lookups; display renders them with detail().
+class Record {
+ public:
   TimePoint at{};
   ProcessId process{};  // ProcessId{0} = no single process (global event)
   Component component{Component::kSim};
   Kind kind{Kind::kMark};
   // Causal id of the sensor event this record is about; invalid (all
   // zero) for records that are not scoped to one event (timers, link
-  // transitions, views, faults). Typed rather than folded into `detail`
-  // so trace_analyze can reconstruct per-event chains without parsing.
+  // transitions, views, faults). Part of the record header, not the
+  // fields, so trace_analyze groups records into per-event chains directly.
   ProvenanceId prov{};
-  // Canonical "key=value key=value" payload, rendered at decode time.
-  std::string detail;
 
+  // Typed lookups: the value of the first field with key `k`. A missing
+  // key, or one whose declared type differs, reads as 0 / ProcessId{0} /
+  // "" (a returned view points into this record). has(k): some field
+  // carries key `k`.
+  bool has(Key k) const;
+  std::uint64_t u64(Key k) const;
+  ProcessId pid(Key k) const;
+  std::string_view str(Key k) const;
+
+  // The canonical "key=value key=value" text of the fields (kText bare),
+  // identical to what the v2 recorder stored eagerly. Display only.
+  std::string detail() const;
+
+  // Equal headers and byte-identical packed fields.
   bool operator==(const Record&) const = default;
+
+ private:
+  friend bool decode_record(detail_impl::PackedReader& r, TimePoint& last,
+                            Record& out);
+  // The packed fields section (key ids and encoded values, format.hpp),
+  // bytes not text; a std::string only for its small-buffer storage.
+  std::string fields_;
 };
 
 // One-line rendering: "t=12345us p2 net/send type=ring_event ...".
@@ -249,13 +273,8 @@ class Recorder {
     append(at, process, component, kind, ProvenanceId{}, fields...);
   }
 
-  // Compatibility append for hand-built records (tests, replay tools):
-  // the detail string is stored verbatim as a single bare-text field, so
-  // it decodes back to an equal Record.
-  void append(const Record& r);
-
   // Decode every retained record out of the arena. By value: each call
-  // re-renders from the packed bytes (tools call this once).
+  // copies every record's fields out again (tools call this once).
   std::vector<Record> records() const;
 
   // Retained record count (== records().size()).

@@ -7,10 +7,13 @@
 // with zero false positives on a non-adversarial run.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "chaos/engine.hpp"
+#include "common/hash.hpp"
 #include "trace/provenance.hpp"
 
 namespace riv {
@@ -113,6 +116,84 @@ TEST(ByzantineTest, NonAdversarialRunAuditsToZero) {
   EXPECT_EQ(au.findings.size(), 0u);
   EXPECT_TRUE(au.unattributed.empty());
   EXPECT_TRUE(au.all_accounted());
+}
+
+// Analyzer and audit output pinned by digest: any change to what
+// analyze()/audit() conclude, or to how their reports render, changes a
+// digest. The goldens audit to zero attacks, so the attacked runs of the
+// tests above (seed 9, and seed 1 with crashes) carry the matcher.
+// Order: render(analysis), render_json(analysis), render(audit),
+// render_json(audit).
+using ReportDigests = std::array<std::string, 4>;
+
+ReportDigests report_digests(const std::vector<trace::Record>& records) {
+  const trace::Analysis an = trace::analyze(records);
+  const trace::Audit au = trace::audit(records);
+  const std::string reports[4] = {trace::render(an), trace::render_json(an),
+                                  trace::render(au), trace::render_json(au)};
+  ReportDigests out;
+  for (int i = 0; i < 4; ++i)
+    out[i] = hash::fnv1a_digest(
+        hash::fnv1a(reports[i].data(), reports[i].size()));
+  return out;
+}
+
+void expect_digests(const std::vector<trace::Record>& records,
+                    const ReportDigests& want, const std::string& what) {
+  const ReportDigests got = report_digests(records);
+  static const char* kReport[4] = {"analyze text", "analyze json",
+                                   "audit text", "audit json"};
+  for (int i = 0; i < 4; ++i)
+    EXPECT_EQ(got[i], want[i]) << what << ": " << kReport[i];
+}
+
+TEST(AnalyzerOutputPin, Goldens) {
+  const struct {
+    const char* name;
+    ReportDigests want;
+  } kGoldens[] = {
+      {"gapless_ring",
+       {"492620f49a2b8900", "89ecb8be6e3ad0cb", "a0603772693cac43",
+        "fb11fbcee48943f8"}},
+      {"gap_chain",
+       {"8fc863ea13a23cbb", "ba7557c19c9b6b6c", "8246cae90198282a",
+        "f2c5ebf977ec3967"}},
+      {"failover",
+       {"cb8980669e4c4a03", "a62cf6f50dc1da4f", "fb72e3045f74bf5e",
+        "6d73d8ccd020ac77"}},
+      {"chaos_flight",
+       {"1671641cdd0d77da", "58bfe9bab96c10fa", "4d225b4bc5aa70e9",
+        "f39225fcb2f59c44"}},
+  };
+  for (const auto& g : kGoldens) {
+    trace::Recorder rec;
+    std::string err;
+    ASSERT_TRUE(trace::Recorder::load(std::string(RIV_TRACE_GOLDEN_DIR) +
+                                          "/" + g.name + ".rivtrace",
+                                      &rec, &err))
+        << err;
+    expect_digests(rec.records(), g.want, g.name);
+  }
+}
+
+TEST(AnalyzerOutputPin, AttackedRuns) {
+  chaos::ChaosResult r9 = chaos::ChaosEngine(byzantine_options(9)).run();
+  ASSERT_TRUE(r9.flight != nullptr);
+  ASSERT_GT(r9.byzantine_attacks, 0u);
+  expect_digests(r9.flight->records(),
+                 {"0090a0786c3ca078", "f9993e57aa2b573c", "db894dcb15ef9b3f",
+                  "3b01d71afe6dffa1"},
+                 "seed 9");
+
+  chaos::EngineOptions opt = byzantine_options(1);
+  opt.plan.crashes = true;
+  chaos::ChaosResult r1 = chaos::ChaosEngine(opt).run();
+  ASSERT_TRUE(r1.flight != nullptr);
+  ASSERT_GT(r1.byzantine_attacks, 0u);
+  expect_digests(r1.flight->records(),
+                 {"833413b0a4089639", "2f932a159ebdaa2d", "9de3c430c3d143ca",
+                  "c0e525e432562e12"},
+                 "seed 1 with crashes");
 }
 
 }  // namespace

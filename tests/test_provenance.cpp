@@ -19,30 +19,40 @@ namespace {
 
 using namespace riv::trace;
 
+// One record built through the typed append API the emit sites use,
+// decoded back out of the recorder.
+template <IsField... Fields>
 Record rec(std::int64_t us, std::uint16_t pid, Component c, Kind k,
-           ProvenanceId prov, std::string detail) {
-  return Record{TimePoint{us}, ProcessId{pid}, c, k, prov,
-                std::move(detail)};
+           ProvenanceId prov, const Fields&... fields) {
+  Recorder r;
+  r.append(TimePoint{us}, ProcessId{pid}, c, k, prov, fields...);
+  return r.records().at(0);
+}
+
+FieldEvent ev(std::uint32_t seq) {
+  return fe(Key::kEvent, EventId{SensorId{1}, seq});
 }
 
 // One event walking the full pipeline with per-leg gaps of 2..7 µs. All
 // legs stay under 16 µs where histogram buckets are exact, so the
 // assertions below are equalities, not tolerances.
 std::vector<Record> full_pipeline(ProvenanceId id, std::int64_t base) {
+  const FieldEvent x = ev(id.seq);
+  const FieldCmd cmd = fc(Key::kCmd, CommandId{ProcessId{1}, 1});
+  const FieldAct act = fa(Key::kActuator, ActuatorId{1});
   return {
-      rec(base + 0, 0, Component::kDevice, Kind::kEmit, id, "event=x"),
-      rec(base + 2, 1, Component::kDevice, Kind::kAdapterRx, id,
-          "event=x up=1"),
+      rec(base + 0, 0, Component::kDevice, Kind::kEmit, id, x),
+      rec(base + 2, 1, Component::kDevice, Kind::kAdapterRx, id, x,
+          fu(Key::kUp, 1)),
       rec(base + 5, 1, Component::kDelivery, Kind::kIngest, id,
-          "app=1 event=x src=device"),
+          fu(Key::kApp, 1), x, fs(Key::kSrcName, "device")),
       rec(base + 9, 1, Component::kRuntime, Kind::kDeliver, id,
-          "app=1 event=x"),
+          fu(Key::kApp, 1), x),
       rec(base + 14, 1, Component::kRuntime, Kind::kLogicFire, id,
-          "app=1 op=light"),
-      rec(base + 20, 1, Component::kRuntime, Kind::kCommand, id,
-          "cmd=p1!1 actuator=a1"),
-      rec(base + 27, 0, Component::kDevice, Kind::kActuated, id,
-          "cmd=p1!1 actuator=a1 accepted=1 dup=0"),
+          fu(Key::kApp, 1), fs(Key::kOp, "light")),
+      rec(base + 20, 1, Component::kRuntime, Kind::kCommand, id, cmd, act),
+      rec(base + 27, 0, Component::kDevice, Kind::kActuated, id, cmd, act,
+          fu(Key::kAccepted, 1), fu(Key::kDup, 0)),
   };
 }
 
@@ -80,30 +90,35 @@ TEST(ProvenanceAnalyze, ClassifiesOrphans) {
   std::vector<Record> records;
   // Orphan 1: ingested one second before the trace ends — in flight.
   records.push_back(rec(seconds(19).us, 1, Component::kDelivery,
-                        Kind::kIngest, ProvenanceId{1, 1},
-                        "app=1 event=a src=device"));
+                        Kind::kIngest, ProvenanceId{1, 1}, fu(Key::kApp, 1),
+                        ev(1), fs(Key::kSrcName, "device")));
   // Orphan 2: ingested early, but its only host crashed and stayed down.
   records.push_back(rec(seconds(1).us, 2, Component::kDelivery,
-                        Kind::kIngest, ProvenanceId{1, 2},
-                        "app=1 event=b src=device"));
+                        Kind::kIngest, ProvenanceId{1, 2}, fu(Key::kApp, 1),
+                        ev(2), fs(Key::kSrcName, "device")));
   records.push_back(rec(seconds(2).us, 2, Component::kRuntime,
-                        Kind::kCrash, ProvenanceId{}, ""));
+                        Kind::kCrash, ProvenanceId{}));
   // Orphan 3: ingested early, host alive the whole time — a real bug.
   records.push_back(rec(seconds(1).us, 3, Component::kDelivery,
-                        Kind::kIngest, ProvenanceId{1, 3},
-                        "app=1 event=c src=device"));
+                        Kind::kIngest, ProvenanceId{1, 3}, fu(Key::kApp, 1),
+                        ev(3), fs(Key::kSrcName, "device")));
   // Push the end of the trace out to t=20s.
   records.push_back(rec(seconds(20).us, 0, Component::kChaos, Kind::kMark,
-                        ProvenanceId{}, "end"));
+                        ProvenanceId{}, fs(Key::kText, "end")));
 
   Analysis a = analyze(records, opt);
   ASSERT_EQ(a.orphans.size(), 3u);
   EXPECT_EQ(a.unexplained_orphans(), 1u);
   for (const Orphan& o : a.orphans) {
-    if (o.id == ProvenanceId{1, 1})
+    if (o.id == ProvenanceId{1, 1}) {
       EXPECT_EQ(o.reason, "in_flight_at_end");
-    if (o.id == ProvenanceId{1, 2}) EXPECT_EQ(o.reason, "crashed_host");
-    if (o.id == ProvenanceId{1, 3}) EXPECT_EQ(o.reason, "unexplained");
+    }
+    if (o.id == ProvenanceId{1, 2}) {
+      EXPECT_EQ(o.reason, "crashed_host");
+    }
+    if (o.id == ProvenanceId{1, 3}) {
+      EXPECT_EQ(o.reason, "unexplained");
+    }
   }
   CheckResult cr = check(a);
   EXPECT_FALSE(cr.ok);
@@ -112,29 +127,30 @@ TEST(ProvenanceAnalyze, ClassifiesOrphans) {
 
   // A recovered host is not a crashed host: orphan 2 becomes unexplained.
   records.push_back(rec(seconds(20).us + 1, 2, Component::kRuntime,
-                        Kind::kRecover, ProvenanceId{}, ""));
+                        Kind::kRecover, ProvenanceId{}));
   Analysis b = analyze(records, opt);
   EXPECT_EQ(b.unexplained_orphans(), 2u);
 }
 
 TEST(ProvenanceAnalyze, DetectsDuplicatesWithinOnePromotionEpoch) {
   ProvenanceId id{1, 5};
+  const FieldU app = fu(Key::kApp, 1);
   std::vector<Record> records;
   records.push_back(rec(100, 1, Component::kRuntime, Kind::kPromote,
-                        ProvenanceId{}, "app=1"));
+                        ProvenanceId{}, app));
   records.push_back(
-      rec(200, 1, Component::kRuntime, Kind::kDeliver, id, "app=1 event=x"));
+      rec(200, 1, Component::kRuntime, Kind::kDeliver, id, app, ev(5)));
   // Failover: p2 promoted, re-delivery there is legitimate.
   records.push_back(rec(300, 2, Component::kRuntime, Kind::kPromote,
-                        ProvenanceId{}, "app=1"));
+                        ProvenanceId{}, app));
   records.push_back(
-      rec(400, 2, Component::kRuntime, Kind::kDeliver, id, "app=1 event=x"));
+      rec(400, 2, Component::kRuntime, Kind::kDeliver, id, app, ev(5)));
   Analysis clean = analyze(records);
   EXPECT_TRUE(clean.duplicates.empty());
 
   // Same event again to p2 with no intervening promotion: a duplicate.
   records.push_back(
-      rec(500, 2, Component::kRuntime, Kind::kDeliver, id, "app=1 event=x"));
+      rec(500, 2, Component::kRuntime, Kind::kDeliver, id, app, ev(5)));
   Analysis dirty = analyze(records);
   ASSERT_EQ(dirty.duplicates.size(), 1u);
   EXPECT_EQ(dirty.duplicates[0].id, id);
@@ -145,9 +161,9 @@ TEST(ProvenanceAnalyze, DetectsDuplicatesWithinOnePromotionEpoch) {
   // A promotion between repeats resets the epoch: no duplicate.
   records.pop_back();
   records.push_back(rec(450, 2, Component::kRuntime, Kind::kPromote,
-                        ProvenanceId{}, "app=1"));
+                        ProvenanceId{}, app));
   records.push_back(
-      rec(500, 2, Component::kRuntime, Kind::kDeliver, id, "app=1 event=x"));
+      rec(500, 2, Component::kRuntime, Kind::kDeliver, id, app, ev(5)));
   EXPECT_TRUE(analyze(records).duplicates.empty());
 }
 
@@ -158,23 +174,25 @@ TEST(ProvenanceAnalyze, AttributesTailLatencyToOverlappingFaults) {
     ProvenanceId id{1, i};
     std::int64_t base = static_cast<std::int64_t>(i) * 100000;
     records.push_back(
-        rec(base, 0, Component::kDevice, Kind::kEmit, id, "event=f"));
+        rec(base, 0, Component::kDevice, Kind::kEmit, id, ev(i)));
     records.push_back(rec(base + 1000, 1, Component::kRuntime,
-                          Kind::kDeliver, id, "app=1 event=f"));
+                          Kind::kDeliver, id, fu(Key::kApp, 1), ev(i)));
   }
   // One slow event spanning an injected fault: generated at 10s,
   // partition at 15s, finally delivered at 30s.
   ProvenanceId slow{1, 9};
   records.push_back(rec(seconds(10).us, 0, Component::kDevice, Kind::kEmit,
-                        slow, "event=s"));
+                        slow, ev(9)));
   records.push_back(rec(seconds(15).us, 0, Component::kChaos, Kind::kFault,
-                        ProvenanceId{}, "id=3 partition {p1} | {p2 p3}"));
+                        ProvenanceId{}, fu(Key::kFaultId, 3),
+                        fs(Key::kText, "partition {p1} | {p2 p3}")));
   records.push_back(rec(seconds(30).us, 1, Component::kRuntime,
-                        Kind::kDeliver, slow, "app=1 event=s"));
+                        Kind::kDeliver, slow, fu(Key::kApp, 1), ev(9)));
 
   Analysis a = analyze(records);
   ASSERT_EQ(a.faults.size(), 1u);
   EXPECT_EQ(a.faults[0].fault_id, 3);
+  EXPECT_EQ(a.faults[0].what, "partition {p1} | {p2 p3}");
   ASSERT_FALSE(a.tails.empty());
   // Tails are sorted slowest-first; the slow chain leads and carries the
   // fault id, while the fast chains (if present at the threshold) do not.
@@ -188,10 +206,10 @@ TEST(ProvenanceAnalyze, AttributesTailLatencyToOverlappingFaults) {
 TEST(ProvenanceAnalyze, FlagsStageOrderingViolations) {
   ProvenanceId id{1, 7};
   std::vector<Record> records;
-  records.push_back(
-      rec(5000, 1, Component::kRuntime, Kind::kDeliver, id, "app=1 event=x"));
+  records.push_back(rec(5000, 1, Component::kRuntime, Kind::kDeliver, id,
+                        fu(Key::kApp, 1), ev(7)));
   records.push_back(rec(9000, 1, Component::kDelivery, Kind::kIngest, id,
-                        "app=1 event=x src=device"));
+                        fu(Key::kApp, 1), ev(7), fs(Key::kSrcName, "device")));
   Analysis a = analyze(records);
   ASSERT_EQ(a.ordering_violations.size(), 1u);
   EXPECT_NE(a.ordering_violations[0].find("delivered"), std::string::npos);

@@ -1,11 +1,12 @@
 // Unit tests for the flight-recorder trace layer (src/trace): hash
 // stability, component masking, the scoped current-recorder mechanism,
 // the stable binary encoding (round-trip, corruption rejection, file
-// save/load), and the structural differ.
+// save/load), the typed field lookups, and the structural differ.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "trace/diff.hpp"
@@ -16,70 +17,81 @@ namespace {
 
 using namespace riv::trace;
 
-Record record(std::int64_t us, std::uint16_t pid, Component c, Kind k,
-              std::string detail, ProvenanceId prov = {}) {
-  return Record{TimePoint{us}, ProcessId{pid}, c, k, prov,
-                std::move(detail)};
+// The header and S value of the fourth sample record (the ingest), so a
+// test can perturb one field at a time.
+struct Ingest {
+  TimePoint at{3000};
+  ProcessId process{1};
+  Kind kind{Kind::kIngest};
+  ProvenanceId prov{1, 0};
+  std::uint64_t seen{1};
+};
+
+// Five records through the typed append API the emit sites use.
+void append_samples(Recorder& rec, const Ingest& ingest = {}) {
+  rec.append(TimePoint{0}, ProcessId{0}, Component::kSim, Kind::kTimerFire,
+             fu(Key::kTimer, 1));
+  rec.append(TimePoint{1000}, ProcessId{1}, Component::kNet, Kind::kSend,
+             fs(Key::kType, "keepalive"), fp(Key::kSrc, ProcessId{1}),
+             fp(Key::kDst, ProcessId{2}));
+  rec.append(TimePoint{2500}, ProcessId{2}, Component::kNet, Kind::kRecv,
+             fs(Key::kType, "keepalive"), fp(Key::kSrc, ProcessId{1}),
+             fp(Key::kDst, ProcessId{2}));
+  rec.append(ingest.at, ingest.process, Component::kDelivery, ingest.kind,
+             ingest.prov, fu(Key::kApp, 1),
+             fe(Key::kEvent, EventId{SensorId{1}, 0}),
+             fu(Key::kSeen, ingest.seen), fu(Key::kNeed, 3));
+  rec.append(TimePoint{3000}, ProcessId{1}, Component::kRuntime,
+             Kind::kDeliver, ProvenanceId{1, 0}, fu(Key::kApp, 1),
+             fe(Key::kEvent, EventId{SensorId{1}, 0}));
 }
 
-std::vector<Record> sample_records() {
-  return {
-      record(0, 0, Component::kSim, Kind::kTimerFire, "timer=1"),
-      record(1000, 1, Component::kNet, Kind::kSend,
-             "type=keepalive src=p1 dst=p2"),
-      record(2500, 2, Component::kNet, Kind::kRecv,
-             "type=keepalive src=p1 dst=p2"),
-      record(3000, 1, Component::kDelivery, Kind::kIngest,
-             "app=1 event=s1#0 S=1 V=3", ProvenanceId{1, 0}),
-      record(3000, 1, Component::kRuntime, Kind::kDeliver,
-             "app=1 event=s1#0", ProvenanceId{1, 0}),
-  };
+std::vector<Record> sample_records(const Ingest& ingest = {}) {
+  Recorder rec;
+  append_samples(rec, ingest);
+  return rec.records();
 }
 
 TEST(TraceRecorderTest, HashIsStableAcrossIdenticalAppends) {
   Recorder a, b;
-  for (const Record& r : sample_records()) {
-    a.append(r);
-    b.append(r);
-  }
+  append_samples(a);
+  append_samples(b);
   EXPECT_EQ(a.hash(), b.hash());
   EXPECT_EQ(a.digest(), b.digest());
   EXPECT_EQ(a.records(), b.records());
 }
 
 TEST(TraceRecorderTest, HashIsSensitiveToEveryField) {
-  std::vector<Record> base = sample_records();
   Recorder ref;
-  for (const Record& r : base) ref.append(r);
+  append_samples(ref);
 
-  auto hash_with = [&](Record changed, std::size_t at) {
+  auto hash_with = [](const Ingest& changed) {
     Recorder rec;
-    for (std::size_t i = 0; i < base.size(); ++i)
-      rec.append(i == at ? changed : base[i]);
+    append_samples(rec, changed);
     return rec.hash();
   };
 
-  Record r = base[3];
+  Ingest r;
   r.at = r.at + Duration{1};
-  EXPECT_NE(hash_with(r, 3), ref.hash());
-  r = base[3];
+  EXPECT_NE(hash_with(r), ref.hash());
+  r = Ingest{};
   r.process = ProcessId{9};
-  EXPECT_NE(hash_with(r, 3), ref.hash());
-  r = base[3];
+  EXPECT_NE(hash_with(r), ref.hash());
+  r = Ingest{};
   r.kind = Kind::kFallback;
-  EXPECT_NE(hash_with(r, 3), ref.hash());
-  r = base[3];
-  r.detail += " x";
-  EXPECT_NE(hash_with(r, 3), ref.hash());
-  r = base[3];
+  EXPECT_NE(hash_with(r), ref.hash());
+  r = Ingest{};
+  r.seen = 2;
+  EXPECT_NE(hash_with(r), ref.hash());
+  r = Ingest{};
   r.prov = ProvenanceId{2, 7};
-  EXPECT_NE(hash_with(r, 3), ref.hash());
+  EXPECT_NE(hash_with(r), ref.hash());
 }
 
 TEST(TraceRecorderTest, MaskDropsUnwantedComponents) {
   Recorder rec(component_bit(Component::kDelivery) |
                component_bit(Component::kRuntime));
-  for (const Record& r : sample_records()) rec.append(r);
+  append_samples(rec);
   ASSERT_EQ(rec.size(), 2u);
   EXPECT_EQ(rec.records()[0].kind, Kind::kIngest);
   EXPECT_EQ(rec.records()[1].kind, Kind::kDeliver);
@@ -89,7 +101,7 @@ TEST(TraceRecorderTest, MaskDropsUnwantedComponents) {
 
 TEST(TraceRecorderTest, EncodeDecodeRoundTrips) {
   Recorder rec;
-  for (const Record& r : sample_records()) rec.append(r);
+  append_samples(rec);
   std::vector<std::byte> buf = rec.encode();
 
   Recorder back;
@@ -101,7 +113,7 @@ TEST(TraceRecorderTest, EncodeDecodeRoundTrips) {
 
 TEST(TraceRecorderTest, DecodeRejectsCorruptInput) {
   Recorder rec;
-  for (const Record& r : sample_records()) rec.append(r);
+  append_samples(rec);
   std::vector<std::byte> buf = rec.encode();
 
   Recorder back;
@@ -127,7 +139,7 @@ TEST(TraceRecorderTest, DecodeRejectsCorruptInput) {
 
 TEST(TraceRecorderTest, SaveLoadRoundTripsThroughDisk) {
   Recorder rec;
-  for (const Record& r : sample_records()) rec.append(r);
+  append_samples(rec);
 
   std::string path =
       testing::TempDir() + "/riv_trace_roundtrip.rivtrace";
@@ -170,9 +182,9 @@ TEST(TraceScopeTest, ScopeInstallsAndNestingRestores) {
   }
   EXPECT_EQ(current(), nullptr);
   ASSERT_EQ(outer.size(), 1u);
-  EXPECT_EQ(outer.records()[0].detail, "a");
+  EXPECT_EQ(outer.records()[0].detail(), "a");
   ASSERT_EQ(inner.size(), 1u);
-  EXPECT_EQ(inner.records()[0].detail, "c");
+  EXPECT_EQ(inner.records()[0].detail(), "c");
 }
 
 // The typed variadic emit API must render exactly the canonical
@@ -211,16 +223,17 @@ TEST(TraceRecorderTest, TypedFieldsRenderCanonicalDetails) {
 
   std::vector<Record> rs = rec.records();
   ASSERT_EQ(rs.size(), 9u);
-  EXPECT_EQ(rs[0].detail, "timer=42");
-  EXPECT_EQ(rs[1].detail, "type=keepalive src=p1 dst=p2");
-  EXPECT_EQ(rs[2].detail, "type=ring_event src=p1 dst=p2 reason=edge_loss");
-  EXPECT_EQ(rs[3].detail, "edge_delay src=p1 dst=p3 extra_us=-250");
-  EXPECT_EQ(rs[4].detail, "app=1 event=s1#7 src=device S=1 V=3");
+  EXPECT_EQ(rs[0].detail(), "timer=42");
+  EXPECT_EQ(rs[1].detail(), "type=keepalive src=p1 dst=p2");
+  EXPECT_EQ(rs[2].detail(),
+            "type=ring_event src=p1 dst=p2 reason=edge_loss");
+  EXPECT_EQ(rs[3].detail(), "edge_delay src=p1 dst=p3 extra_us=-250");
+  EXPECT_EQ(rs[4].detail(), "app=1 event=s1#7 src=device S=1 V=3");
   EXPECT_EQ(rs[4].prov, (ProvenanceId{1, 7}));
-  EXPECT_EQ(rs[5].detail, "cmd=p2!9 actuator=a4 accepted=1 dup=0");
-  EXPECT_EQ(rs[6].detail, "view=p1+p2+p3");
-  EXPECT_EQ(rs[7].detail, "id=3 crash p2 (noop)");
-  EXPECT_EQ(rs[8].detail, "");
+  EXPECT_EQ(rs[5].detail(), "cmd=p2!9 actuator=a4 accepted=1 dup=0");
+  EXPECT_EQ(rs[6].detail(), "view=p1+p2+p3");
+  EXPECT_EQ(rs[7].detail(), "id=3 crash p2 (noop)");
+  EXPECT_EQ(rs[8].detail(), "");
   for (const Record& r : rs) {
     EXPECT_EQ(r.at.us % 10, 0);
   }
@@ -230,6 +243,77 @@ TEST(TraceRecorderTest, TypedFieldsRenderCanonicalDetails) {
   ASSERT_TRUE(Recorder::decode(rec.encode(), &back, &err)) << err;
   EXPECT_EQ(back.records(), rs);
   EXPECT_EQ(back.encode(), rec.encode());
+}
+
+// A Record is decoded from packed bytes, never built from detail text.
+static_assert(!std::is_constructible_v<Record, TimePoint, ProcessId,
+                                       Component, Kind, ProvenanceId,
+                                       std::string>);
+
+// kSrc (a pid) and kSrcName (a string) both render as "src=", but the
+// typed lookups resolve each only by its own key id.
+TEST(TraceRecordLookupTest, SrcAndSrcNameResolveByKeyNotByName) {
+  Recorder rec;
+  rec.append(TimePoint{1}, ProcessId{1}, Component::kDelivery, Kind::kIngest,
+             fp(Key::kSrc, ProcessId{3}), fs(Key::kSrcName, "device"));
+  Record r = rec.records().at(0);
+  EXPECT_EQ(r.detail(), "src=p3 src=device");
+  EXPECT_EQ(r.pid(Key::kSrc), ProcessId{3});
+  EXPECT_EQ(r.str(Key::kSrcName), "device");
+  // A lookup of the wrong type reads as absent, not as the other key.
+  EXPECT_EQ(r.str(Key::kSrc), "");
+  EXPECT_EQ(r.u64(Key::kSrc), 0u);
+}
+
+// A missing key reads as 0 / ProcessId{0} / "", as the string parser did.
+TEST(TraceRecordLookupTest, MissingKeyReadsAsZero) {
+  Recorder rec;
+  rec.append(TimePoint{1}, ProcessId{1}, Component::kRuntime, Kind::kDeliver,
+             fu(Key::kApp, 4));
+  rec.append(TimePoint{2}, ProcessId{1}, Component::kRuntime, Kind::kCrash);
+  std::vector<Record> rs = rec.records();
+  ASSERT_EQ(rs.size(), 2u);
+  EXPECT_TRUE(rs[0].has(Key::kApp));
+  EXPECT_EQ(rs[0].u64(Key::kApp), 4u);
+  EXPECT_FALSE(rs[0].has(Key::kFaultId));
+  EXPECT_EQ(rs[0].u64(Key::kFaultId), 0u);
+  EXPECT_EQ(rs[0].pid(Key::kDst), ProcessId{0});
+  EXPECT_EQ(rs[0].str(Key::kType), "");
+  EXPECT_FALSE(rs[1].has(Key::kApp));
+  EXPECT_EQ(rs[1].u64(Key::kApp), 0u);
+  EXPECT_EQ(rs[1].str(Key::kText), "");
+  EXPECT_EQ(rs[1].detail(), "");
+}
+
+// Free text that looks like "key=value" tokens renders indistinguishably
+// from real fields, but cannot shadow them: lookups go by key id.
+TEST(TraceRecordLookupTest, TextWithSpacesAndEqualsDoesNotShadowKeys) {
+  Recorder rec;
+  rec.append(TimePoint{1}, ProcessId{0}, Component::kChaos, Kind::kFault,
+             fs(Key::kText, "id=99 type=forged src=p9 app=7"),
+             fu(Key::kFaultId, 3), fs(Key::kType, "ring_event"),
+             fp(Key::kSrc, ProcessId{1}), fu(Key::kApp, 2));
+  Record r = rec.records().at(0);
+  EXPECT_EQ(r.detail(),
+            "id=99 type=forged src=p9 app=7 id=3 type=ring_event src=p1 "
+            "app=2");
+  EXPECT_EQ(r.u64(Key::kFaultId), 3u);
+  EXPECT_EQ(r.str(Key::kType), "ring_event");
+  EXPECT_EQ(r.pid(Key::kSrc), ProcessId{1});
+  EXPECT_EQ(r.u64(Key::kApp), 2u);
+  EXPECT_EQ(r.str(Key::kText), "id=99 type=forged src=p9 app=7");
+}
+
+// A key that appears twice resolves to its first field.
+TEST(TraceRecordLookupTest, RepeatedKeyResolvesToFirstField) {
+  Recorder rec;
+  rec.append(TimePoint{1}, ProcessId{1}, Component::kRuntime, Kind::kMark,
+             fs(Key::kText, "a b"), fu(Key::kApp, 5), fs(Key::kText, "c"),
+             fu(Key::kApp, 6));
+  Record r = rec.records().at(0);
+  EXPECT_EQ(r.u64(Key::kApp), 5u);
+  EXPECT_EQ(r.str(Key::kText), "a b");
+  EXPECT_EQ(r.detail(), "a b app=5 c app=6");
 }
 
 // Old-format traces must be refused with an actionable message, not a
@@ -251,7 +335,7 @@ TEST(TraceRecorderTest, RejectsOldFormatVersionsWithExactMessage) {
 
 TEST(TraceRecorderTest, TrailingGarbageAfterFooterIsRejected) {
   Recorder rec;
-  for (const Record& r : sample_records()) rec.append(r);
+  append_samples(rec);
   std::vector<std::byte> buf = rec.encode();
   buf.push_back(std::byte{0x00});
   Recorder back;
@@ -262,7 +346,7 @@ TEST(TraceRecorderTest, TrailingGarbageAfterFooterIsRejected) {
 
 TEST(TraceRecorderTest, AppendAfterLoadExtendsTheTrace) {
   Recorder rec;
-  for (const Record& r : sample_records()) rec.append(r);
+  append_samples(rec);
   Recorder back;
   std::string err;
   ASSERT_TRUE(Recorder::decode(rec.encode(), &back, &err)) << err;
@@ -270,7 +354,7 @@ TEST(TraceRecorderTest, AppendAfterLoadExtendsTheTrace) {
               Kind::kPromote, fu(Key::kApp, 1));
   std::vector<Record> rs = back.records();
   ASSERT_EQ(rs.size(), sample_records().size() + 1);
-  EXPECT_EQ(rs.back().detail, "app=1");
+  EXPECT_EQ(rs.back().detail(), "app=1");
   EXPECT_EQ(rs.back().at.us, 9999);
 }
 
@@ -343,8 +427,9 @@ TEST(TraceDiffTest, IdenticalTracesDiffClean) {
 
 TEST(TraceDiffTest, ReportsFirstDivergentFieldAndIndex) {
   std::vector<Record> a = sample_records();
-  std::vector<Record> b = a;
-  b[3].detail = "app=1 event=s1#0 S=2 V=3";
+  Ingest changed;
+  changed.seen = 2;  // "app=1 event=s1#0 S=2 V=3"
+  std::vector<Record> b = sample_records(changed);
   b[4].at = b[4].at + Duration{77};  // later difference must not mask it
 
   Divergence d = diff(a, b);

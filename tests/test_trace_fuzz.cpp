@@ -301,7 +301,7 @@ TEST(TraceFuzzTest, TypedRoundTripMatchesLegacyRenderingForEveryKind) {
     std::vector<Record> rs = back.records();
     ASSERT_EQ(rs.size(), expected.size());
     for (std::size_t i = 0; i < rs.size(); ++i) {
-      EXPECT_EQ(rs[i].detail, expected[i]) << "kind index " << i;
+      EXPECT_EQ(rs[i].detail(), expected[i]) << "kind index " << i;
       EXPECT_EQ(rs[i].kind, static_cast<Kind>(i));
     }
     EXPECT_EQ(back.hash(), rec.hash());

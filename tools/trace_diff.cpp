@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
   riv::trace::Recorder a, b;
   if (!load(paths[0], a) || !load(paths[1], b)) return 2;
 
-  // Decode each packed trace once (records() renders on every call).
+  // Decode each packed trace once (records() copies on every call).
   const std::vector<riv::trace::Record> ra = a.records();
   const std::vector<riv::trace::Record> rb = b.records();
   riv::trace::Divergence d = riv::trace::diff(ra, rb);
