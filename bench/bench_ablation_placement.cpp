@@ -32,7 +32,7 @@ Result run(core::PlacementPolicy policy, std::uint64_t seed) {
   for (std::uint16_t i = 1; i <= kApps; ++i) {
     devices::SensorSpec spec;
     spec.id = SensorId{i};
-    spec.name = "s" + std::to_string(i);
+    spec.name = to_string(spec.id);
     spec.kind = devices::SensorKind::kDoor;
     spec.tech = devices::Technology::kIp;
     spec.rate_hz = 10.0;

@@ -1,8 +1,10 @@
-// Grand tour: a geometrically modeled home running several applications
-// at once, narrated through a day of faults.
+// Grand tour: a five-host home running several applications at once,
+// narrated through a day of faults.
 //
 // Demonstrates the pieces working together:
-//   * HomeTopology derives which host hears which device (range + walls),
+//   * each device is heard by the hosts in its radio range: the hub
+//     (p1, hallway), TV (p2, living room), fridge (p3, kitchen), washer
+//     (p4, utility room) and speaker (p5, bedroom),
 //   * three applications (intrusion detection, temperature HVAC with
 //     coordinated polling, energy billing with replicated state) share
 //     the same five Rivulet processes,
@@ -13,7 +15,6 @@
 
 #include "workload/apps.hpp"
 #include "workload/deployment.hpp"
-#include "workload/topology.hpp"
 
 int main() {
   using namespace riv;
@@ -22,25 +23,26 @@ int main() {
   options.seed = 77;
   options.n_processes = 5;
   workload::HomeDeployment home(options);
+  const ProcessId hub = home.pid(0), tv = home.pid(1), fridge = home.pid(2),
+                  washer = home.pid(3), speaker = home.pid(4);
+  // Walls cost a few percent of the short-range radios' frames.
+  devices::LinkParams through_walls;
+  through_walls.loss_prob = 0.05;
 
-  // --- geometry: devices placed in rooms, links derived from physics ---
-  workload::HomeTopology topo = workload::sample_home(home.processes());
-
+  // --- devices, each linked to the hosts in its range -------------------
   devices::SensorSpec front_door;
   front_door.id = SensorId{1};
   front_door.name = "front-door";
   front_door.kind = devices::SensorKind::kDoor;
   front_door.tech = devices::Technology::kZigbee;
   front_door.rate_hz = 0.3;
-  home.bus().add_sensor(front_door);
-  topo.place_sensor(front_door.id, {0.5, 4.5});  // by the entrance
+  home.add_sensor(front_door, {hub, tv, speaker}, through_walls);
 
   devices::SensorSpec back_door = front_door;
   back_door.id = SensorId{2};
   back_door.name = "back-door";
   back_door.rate_hz = 0.1;
-  home.bus().add_sensor(back_door);
-  topo.place_sensor(back_door.id, {15.5, 5.5});  // kitchen exit
+  home.add_sensor(back_door, {hub, fridge, washer}, through_walls);
 
   devices::SensorSpec thermometer;
   thermometer.id = SensorId{3};
@@ -52,8 +54,7 @@ int main() {
   thermometer.value_base = 20.0;
   thermometer.value_amplitude = 4.0;
   thermometer.value_period = minutes(10);  // a fast "day" for the demo
-  home.bus().add_sensor(thermometer);
-  topo.place_sensor(thermometer.id, {9.0, 5.0});
+  home.add_sensor(thermometer, {hub, tv, fridge, speaker}, through_walls);
 
   devices::SensorSpec meter;
   meter.id = SensorId{4};
@@ -65,33 +66,27 @@ int main() {
   meter.value_base = 900.0;
   meter.value_amplitude = 300.0;
   meter.value_period = minutes(5);
-  home.bus().add_sensor(meter);
-  topo.place_sensor(meter.id, {8.0, 0.5});
+  home.add_sensor(meter, home.processes());
 
   devices::ActuatorSpec siren;
   siren.id = ActuatorId{1};
   siren.name = "siren";
   siren.tech = devices::Technology::kZWave;
-  home.bus().add_actuator(siren);
-  topo.place_actuator(siren.id, {8.5, 4.5});
+  home.add_actuator(siren, {hub, tv, fridge, speaker});
 
   devices::ActuatorSpec hvac;
   hvac.id = ActuatorId{2};
   hvac.name = "hvac";
   hvac.tech = devices::Technology::kIp;
-  home.bus().add_actuator(hvac);
-  topo.place_actuator(hvac.id, {10.0, 1.0});
+  home.add_actuator(hvac, home.processes());
 
   devices::ActuatorSpec bill;
   bill.id = ActuatorId{3};
   bill.name = "billing-display";
   bill.tech = devices::Technology::kIp;
-  home.bus().add_actuator(bill);
-  topo.place_actuator(bill.id, {2.0, 4.0});
+  home.add_actuator(bill, home.processes());
 
-  topo.wire(home.bus());
-
-  std::printf("Derived connectivity (range + walls):\n");
+  std::printf("Sensor connectivity:\n");
   for (SensorId s : home.bus().sensors()) {
     std::printf("  %-22s heard by:", home.bus().sensor(s).spec().name.c_str());
     for (ProcessId p : home.bus().processes_in_range(s))

@@ -34,11 +34,21 @@ const char* to_string(FaultKind kind) {
 }
 
 std::string to_string(const FaultAction& action) {
+  // Appends only: `const char* + std::string&&` trips GCC's -Wrestrict.
   std::string out = to_string(action.kind);
+  auto edge = [&] {
+    out += ' ';
+    out += to_string(action.a);
+    out += "->";
+    out += to_string(action.b);
+  };
   switch (action.kind) {
     case FaultKind::kCrashProcess:
     case FaultKind::kRecoverProcess:
-      out += " " + to_string(action.a);
+    case FaultKind::kCorruptBegin:
+    case FaultKind::kCorruptEnd:
+      out += ' ';
+      out += to_string(action.a);
       break;
     case FaultKind::kPartition: {
       out += " A={";
@@ -59,36 +69,51 @@ std::string to_string(const FaultAction& action) {
     case FaultKind::kEdgeUp:
     case FaultKind::kEdgeDelayClear:
     case FaultKind::kEdgeLossClear:
-      out += " " + to_string(action.a) + "->" + to_string(action.b);
+      edge();
       break;
     case FaultKind::kEdgeDelay:
-      out += " " + to_string(action.a) + "->" + to_string(action.b) +
-             " extra=" + std::to_string(action.dur.us) + "us";
+      edge();
+      out += " extra=";
+      out += std::to_string(action.dur.us);
+      out += "us";
       break;
     case FaultKind::kEdgeLoss:
-      out += " " + to_string(action.a) + "->" + to_string(action.b) +
-             " p=" + std::to_string(action.value);
+      edge();
+      out += " p=";
+      out += std::to_string(action.value);
       break;
     case FaultKind::kDeviceLinkLoss:
-      out += " " + to_string(action.sensor) + "->" + to_string(action.b);
-      out += action.value < 0.0 ? std::string(" restore")
-                                : " p=" + std::to_string(action.value);
+      out += ' ';
+      out += to_string(action.sensor);
+      out += "->";
+      out += to_string(action.b);
+      if (action.value < 0.0) {
+        out += " restore";
+      } else {
+        out += " p=";
+        out += std::to_string(action.value);
+      }
       break;
     case FaultKind::kDeviceCrash:
     case FaultKind::kDeviceRecover:
-      out += " " + to_string(action.sensor);
+      out += ' ';
+      out += to_string(action.sensor);
       break;
     case FaultKind::kSpoofEvent:
-      out += " " + to_string(action.sensor) + "#" +
-             std::to_string(action.seq) + " dst=" + to_string(action.b);
+      out += ' ';
+      out += to_string(action.sensor);
+      out += '#';
+      out += std::to_string(action.seq);
+      out += " dst=";
+      out += to_string(action.b);
       break;
     case FaultKind::kReplayEvent:
-      out += " " + to_string(action.sensor) + " dst=" + to_string(action.b) +
-             " idx=" + std::to_string(action.seq);
-      break;
-    case FaultKind::kCorruptBegin:
-    case FaultKind::kCorruptEnd:
-      out += " " + to_string(action.a);
+      out += ' ';
+      out += to_string(action.sensor);
+      out += " dst=";
+      out += to_string(action.b);
+      out += " idx=";
+      out += std::to_string(action.seq);
       break;
   }
   return out;

@@ -77,16 +77,16 @@ class HomeScenario final : public Scenario {
     // The failover scenario's one scripted action: crash the active logic
     // holder at 3s. Applying it on the way through keeps chunked runs
     // (checkpoint at 4s, continue) identical to the monolithic golden run
-    // (run 3s, crash, run 5s).
+    // (run 3s, crash, run 5s). run_to is the only way the clock advances,
+    // so "the clock has not reached 3s yet" is exactly "not crashed yet".
     const TimePoint crash_at = TimePoint{} + seconds(3);
-    if (crash_ && !crash_done_ && t >= crash_at) {
-      if (home_->sim().now() < crash_at) home_->run_until(crash_at);
+    if (crash_ && home_->sim().now() < crash_at && t >= crash_at) {
+      home_->run_until(crash_at);
       core::RivuletProcess* active = home_->active_logic_process(kApp);
       if (active != nullptr) active->crash();
       trace::emit_text(home_->sim().now(), ProcessId{0},
                        trace::Component::kChaos, trace::Kind::kMark,
                        "crash_active_logic");
-      crash_done_ = true;
     }
     if (t > home_->sim().now()) home_->run_until(t);
   }
@@ -116,7 +116,6 @@ class HomeScenario final : public Scenario {
   std::shared_ptr<trace::Recorder> rec_;
   std::optional<trace::Scope> scope_;
   std::optional<workload::HomeDeployment> home_;
-  bool crash_done_{false};
   std::string summary_;
 };
 

@@ -72,9 +72,18 @@ constexpr ProvenanceId provenance_of(EventId e) {
   return {e.sensor.value, e.seq};
 }
 
-inline std::string to_string(ProcessId p) { return "p" + std::to_string(p.value); }
-inline std::string to_string(SensorId s) { return "s" + std::to_string(s.value); }
-inline std::string to_string(ActuatorId a) { return "a" + std::to_string(a.value); }
+// Built by appending: `const char* + std::string&&` inserts at the front,
+// which GCC 12 flags with -Wrestrict.
+namespace detail {
+inline std::string prefixed(char prefix, std::uint64_t value) {
+  std::string out(1, prefix);
+  out += std::to_string(value);
+  return out;
+}
+}  // namespace detail
+inline std::string to_string(ProcessId p) { return detail::prefixed('p', p.value); }
+inline std::string to_string(SensorId s) { return detail::prefixed('s', s.value); }
+inline std::string to_string(ActuatorId a) { return detail::prefixed('a', a.value); }
 inline std::string to_string(EventId e) {
   return to_string(e.sensor) + "#" + std::to_string(e.seq);
 }
@@ -84,7 +93,10 @@ inline std::string to_string(CommandId c) {
 // Renders identically to the EventId it was derived from ("s1#17"), so
 // detail strings and analyzer joins line up textually.
 inline std::string to_string(ProvenanceId p) {
-  return "s" + std::to_string(p.origin) + "#" + std::to_string(p.seq);
+  std::string out = detail::prefixed('s', p.origin);
+  out += '#';
+  out += std::to_string(p.seq);
+  return out;
 }
 
 }  // namespace riv

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <set>
 
 #include "common/time.hpp"
 #include "common/types.hpp"
@@ -70,8 +69,5 @@ class Adapter {
   std::uint64_t frames_received_{0};
   std::uint64_t frames_sent_{0};
 };
-
-// The set of technologies a host has radios for.
-using AdapterSet = std::set<Technology>;
 
 }  // namespace riv::devices

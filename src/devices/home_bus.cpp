@@ -32,10 +32,6 @@ void HomeBus::add_adapter(ProcessId process, Technology tech) {
   adapters_.emplace(std::make_pair(process, tech), Adapter(tech));
 }
 
-bool HomeBus::has_adapter(ProcessId process, Technology tech) const {
-  return adapters_.count({process, tech}) != 0;
-}
-
 Adapter& HomeBus::adapter(ProcessId process, Technology tech) {
   auto it = adapters_.find({process, tech});
   RIV_ASSERT(it != adapters_.end(), "no such adapter");
@@ -45,7 +41,7 @@ Adapter& HomeBus::adapter(ProcessId process, Technology tech) {
 void HomeBus::link_sensor(SensorId sensor_id, ProcessId process,
                           LinkParams params) {
   Sensor& s = sensor(sensor_id);
-  RIV_ASSERT(has_adapter(process, s.spec().tech),
+  RIV_ASSERT(adapters_.count({process, s.spec().tech}) != 0,
              "process lacks the adapter for this sensor's technology");
   s.add_link(process, params);
 }
@@ -53,7 +49,7 @@ void HomeBus::link_sensor(SensorId sensor_id, ProcessId process,
 void HomeBus::link_actuator(ActuatorId actuator_id, ProcessId process,
                             double loss_prob) {
   Actuator& a = actuator(actuator_id);
-  RIV_ASSERT(has_adapter(process, a.spec().tech),
+  RIV_ASSERT(adapters_.count({process, a.spec().tech}) != 0,
              "process lacks the adapter for this actuator's technology");
   a.add_link(process, loss_prob);
 }

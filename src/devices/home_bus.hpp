@@ -30,7 +30,6 @@ class HomeBus {
   Sensor& add_sensor(const SensorSpec& spec);
   Actuator& add_actuator(const ActuatorSpec& spec);
   void add_adapter(ProcessId process, Technology tech);
-  bool has_adapter(ProcessId process, Technology tech) const;
   // The adapter instance (frame counters) of a process's radio.
   Adapter& adapter(ProcessId process, Technology tech);
 

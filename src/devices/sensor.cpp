@@ -48,8 +48,6 @@ void Sensor::add_link(ProcessId process, LinkParams params) {
   links_[process] = Link{params};
 }
 
-void Sensor::remove_link(ProcessId process) { links_.erase(process); }
-
 void Sensor::set_link_loss(ProcessId process, double loss_prob) {
   auto it = links_.find(process);
   RIV_ASSERT(it != links_.end(), "no such link");

@@ -104,9 +104,6 @@ class Sensor {
   SensorId id() const { return spec_.id; }
 
   void add_link(ProcessId process, LinkParams params);
-  // Drop a link (wearable moved out of range, §2.1's user mobility).
-  // Harmless if absent; transmissions already in the air still land.
-  void remove_link(ProcessId process);
   void set_link_loss(ProcessId process, double loss_prob);
   double link_loss(ProcessId process) const;
   std::vector<ProcessId> linked_processes() const;

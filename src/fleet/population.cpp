@@ -51,7 +51,7 @@ HomeSpec sample_home(const PopulationModel& model, std::uint64_t fleet_seed,
     HomeSpec::SensorPlan plan;
     devices::SensorSpec& spec = plan.spec;
     spec.id = SensorId{static_cast<std::uint16_t>(s + 1)};
-    spec.name = "s" + std::to_string(s + 1);
+    spec.name = to_string(spec.id);
     spec.kind = kKinds[rng.uniform_int(std::size(kKinds))];
     spec.tech = model.tech.sample(rng);
     spec.push = true;

@@ -17,27 +17,18 @@ std::uint64_t Fig1Result::Row::skew() const {
   return received.empty() ? 0 : hi - lo;
 }
 
-struct Fig1Deployment::Impl {
-  Fig1Options options;
-  sim::Simulation sim;
-  devices::HomeBus bus;
-  std::vector<ProcessId> procs;
-  std::map<SensorId, std::size_t> row_of;
+Fig1Result run_fig1_deployment(const Fig1Options& options) {
+  // Declared before the bus so they outlive the handlers that fill them.
   std::map<SensorId, std::map<ProcessId, std::uint64_t>> counts;
   std::set<EventId> received_anywhere;
-  std::vector<Fig1Result::Row> rows;
+  sim::Simulation sim(options.seed);
+  devices::HomeBus bus(sim);
 
-  explicit Impl(const Fig1Options& opt)
-      : options(opt), sim(opt.seed), bus(sim) {}
-};
-
-Fig1Deployment::Fig1Deployment(const Fig1Options& options)
-    : impl_(std::make_unique<Impl>(options)) {
-  Impl& im = *impl_;
+  std::vector<ProcessId> procs;
   for (int i = 0; i < options.n_processes; ++i) {
     ProcessId p{static_cast<std::uint16_t>(i + 1)};
-    im.procs.push_back(p);
-    im.bus.add_adapter(p, devices::Technology::kZWave);
+    procs.push_back(p);
+    bus.add_adapter(p, devices::Technology::kZWave);
   }
 
   // Sensor fleet: name, mean events/day, per-link loss probabilities.
@@ -62,10 +53,11 @@ Fig1Deployment::Fig1Deployment(const Fig1Options& options)
        {0.008, 0.021, 0.013}},
   };
 
-  std::uint16_t next_id = 1;
+  // Sensor i (0-based) gets id i + 1 and result row i.
+  Fig1Result result;
   for (const SensorPlan& sp : plan) {
     devices::SensorSpec spec;
-    spec.id = SensorId{next_id++};
+    spec.id = SensorId{static_cast<std::uint16_t>(result.rows.size() + 1)};
     spec.name = sp.name;
     spec.kind = sp.kind;
     spec.tech = devices::Technology::kZWave;
@@ -73,72 +65,42 @@ Fig1Deployment::Fig1Deployment(const Fig1Options& options)
     spec.payload_size = 4;
     spec.rate_hz = sp.events_per_day / 86400.0;
     spec.pattern = devices::EmitPattern::kPoisson;
-    im.bus.add_sensor(spec);
-    for (std::size_t i = 0; i < im.procs.size(); ++i) {
+    bus.add_sensor(spec);
+    for (std::size_t i = 0; i < procs.size(); ++i) {
       devices::LinkParams link;
       link.loss_prob = sp.link_loss[i % sp.link_loss.size()];
-      im.bus.link_sensor(spec.id, im.procs[i], link);
+      bus.link_sensor(spec.id, procs[i], link);
     }
-    im.row_of[spec.id] = im.rows.size();
     Fig1Result::Row row;
     row.sensor = sp.name;
-    im.rows.push_back(row);
+    result.rows.push_back(row);
   }
 
-  for (ProcessId p : im.procs) {
-    im.bus.subscribe(p, [p, &im](const devices::SensorEvent& e) {
-      ++im.counts[e.id.sensor][p];
-      im.received_anywhere.insert(e.id);
+  for (ProcessId p : procs) {
+    bus.subscribe(p, [p, &counts, &received_anywhere](
+                         const devices::SensorEvent& e) {
+      ++counts[e.id.sensor][p];
+      received_anywhere.insert(e.id);
     });
   }
-}
 
-Fig1Deployment::~Fig1Deployment() = default;
+  bus.start_all();
+  sim.run_until(TimePoint{} + options.duration);
 
-void Fig1Deployment::start() { impl_->bus.start_all(); }
-
-void Fig1Deployment::run_to(TimePoint t) { impl_->sim.run_until(t); }
-
-TimePoint Fig1Deployment::now() const { return impl_->sim.now(); }
-
-TimePoint Fig1Deployment::end_time() const {
-  return TimePoint{} + impl_->options.duration;
-}
-
-sim::Simulation& Fig1Deployment::sim() { return impl_->sim; }
-
-void Fig1Deployment::checkpoint_sim(BinaryWriter& w) const {
-  impl_->sim.clone_state(w);
-}
-
-void Fig1Deployment::checkpoint_bus(BinaryWriter& w) const {
-  impl_->bus.clone_state(w);
-}
-
-Fig1Result Fig1Deployment::result() const {
-  Impl& im = *impl_;
-  Fig1Result result;
-  result.rows = im.rows;
   std::uint64_t total_emitted = 0;
-  for (const auto& [sensor, idx] : im.row_of) {
-    Fig1Result::Row& row = result.rows[idx];
-    row.emitted = im.bus.sensor(sensor).events_emitted();
+  for (std::size_t i = 0; i < result.rows.size(); ++i) {
+    const SensorId sensor{static_cast<std::uint16_t>(i + 1)};
+    Fig1Result::Row& row = result.rows[i];
+    row.emitted = bus.sensor(sensor).events_emitted();
     total_emitted += row.emitted;
-    for (ProcessId p : im.procs) row.received[p] = im.counts[sensor][p];
+    for (ProcessId p : procs) row.received[p] = counts[sensor][p];
   }
   if (total_emitted > 0) {
     result.all_link_loss_fraction =
-        1.0 - static_cast<double>(im.received_anywhere.size()) /
+        1.0 - static_cast<double>(received_anywhere.size()) /
                   static_cast<double>(total_emitted);
   }
   return result;
-}
-
-Fig1Result run_fig1_deployment(const Fig1Options& options) {
-  Fig1Deployment d(options);
-  d.start();
-  d.run_to(TimePoint{} + options.duration);
-  return d.result();
 }
 
 }  // namespace riv::workload

@@ -11,23 +11,11 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "common/time.hpp"
 #include "common/types.hpp"
-
-namespace riv {
-class BinaryWriter;
-namespace sim {
-class Simulation;
-}
-namespace devices {
-class HomeBus;
-}
-}  // namespace riv
 
 namespace riv::workload {
 
@@ -52,38 +40,5 @@ struct Fig1Result {
 };
 
 Fig1Result run_fig1_deployment(const Fig1Options& options);
-
-// Stepwise form of the same deployment, for checkpointed long runs:
-// construct, start(), run_to() in chunks (chunking is behaviourally
-// invisible — the kernel's run_until is chunk-equivalent), harvest with
-// result() at the end. checkpoint_sim()/checkpoint_bus() write the clone
-// encoding (DESIGN.md §13) of the two layers a Fig1 run owns
-// ("sim.kernel" + "bus.devices"), which is what
-// bench_fig1_deployment stores per RIVC boundary and byte-compares on
-// resume (restore is re-execution + attestation, as everywhere).
-class Fig1Deployment {
- public:
-  explicit Fig1Deployment(const Fig1Options& options);
-  ~Fig1Deployment();
-  Fig1Deployment(const Fig1Deployment&) = delete;
-  Fig1Deployment& operator=(const Fig1Deployment&) = delete;
-
-  void start();
-  void run_to(TimePoint t);
-  TimePoint now() const;
-  TimePoint end_time() const;
-
-  sim::Simulation& sim();
-  // Encode kernel / device state; the section split is the caller's
-  // business.
-  void checkpoint_sim(BinaryWriter& w) const;
-  void checkpoint_bus(BinaryWriter& w) const;
-
-  Fig1Result result() const;
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
 
 }  // namespace riv::workload

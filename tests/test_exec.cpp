@@ -268,7 +268,9 @@ TEST(PlacementPolicy, RuntimeSpreadsAppsAcrossProcesses) {
     devices::SensorSpec spec = door_sensor();
     spec.id = SensorId{i};
     home.add_sensor(spec, home.processes());
-    appmodel::AppBuilder app(AppId{i}, "a" + std::to_string(i));
+    std::string name = "a";
+    name += std::to_string(i);
+    appmodel::AppBuilder app(AppId{i}, name);
     auto op = app.add_operator("Sink");
     op.add_sensor(SensorId{i}, appmodel::Guarantee::kGap,
                   appmodel::WindowSpec::count_window(1));

@@ -2,6 +2,8 @@
 // catalog, deployment harness behaviour, and placement overrides.
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 #include "workload/apps.hpp"
 #include "workload/deployment.hpp"
 #include "workload/fig1.hpp"
@@ -34,6 +36,52 @@ TEST(Fig1Trace, ReproducesPaperSkewShape) {
   for (const auto& row : result.rows) {
     for (const auto& [p, n] : row.received) EXPECT_LE(n, row.emitted);
   }
+}
+
+// The exact 15-day seed-42 table that EXPERIMENTS.md quotes (Door 1 skew
+// 2348, motion skews 575/135/42/627, 0.0007% lost on all links). Any change
+// to the deployment's construction or to the device layer's RNG draws
+// shows up here.
+TEST(Fig1Trace, PinsSeed42FifteenDayTable) {
+  Fig1Options options;
+  ASSERT_EQ(options.seed, 42u);
+  ASSERT_EQ(options.duration, days(15));
+  Fig1Result result = run_fig1_deployment(options);
+
+  struct Expected {
+    const char* sensor;
+    std::uint64_t emitted;
+    std::uint64_t received[3];
+    std::uint64_t skew;
+  };
+  const Expected expected[] = {
+      {"Door 1", 12259, {12049, 9701, 11740}, 2348},
+      {"Door 2", 4634, {4584, 4488, 4528}, 96},
+      {"Motion 1", 39012, {38865, 38290, 38650}, 575},
+      {"Motion 2", 28178, {28015, 27880, 27941}, 135},
+      {"Motion 3", 20876, {20816, 20783, 20774}, 42},
+      {"Motion 4", 46378, {46012, 45385, 45820}, 627},
+  };
+  ASSERT_EQ(result.rows.size(), std::size(expected));
+  for (std::size_t i = 0; i < result.rows.size(); ++i) {
+    const Fig1Result::Row& row = result.rows[i];
+    SCOPED_TRACE(row.sensor);
+    EXPECT_EQ(row.sensor, expected[i].sensor);
+    EXPECT_EQ(row.emitted, expected[i].emitted);
+    const std::map<ProcessId, std::uint64_t> received = {
+        {ProcessId{1}, expected[i].received[0]},
+        {ProcessId{2}, expected[i].received[1]},
+        {ProcessId{3}, expected[i].received[2]},
+    };
+    EXPECT_EQ(row.received, received);
+    EXPECT_EQ(row.skew(), expected[i].skew);
+  }
+  // Exactly one of the 151337 emissions was lost on every link: the
+  // 0.0007% the bench prints.
+  std::uint64_t total_emitted = 0;
+  for (const Fig1Result::Row& row : result.rows) total_emitted += row.emitted;
+  EXPECT_EQ(total_emitted, 151337u);
+  EXPECT_NEAR(result.all_link_loss_fraction * total_emitted, 1.0, 1e-6);
 }
 
 TEST(Fig1Trace, DeterministicForSameSeed) {
