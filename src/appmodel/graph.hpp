@@ -52,26 +52,12 @@ class TriggerContext {
   // Emit a derived value to downstream operators.
   void emit(double value) const { emit_fn(value); }
 
-  // Replicated application state (extension; see store/replicated_store):
-  // survives logic-node failover, last-writer-wins across processes.
-  void put(const std::string& key, double value) const {
-    kv_put_fn(key, value);
-  }
-  std::optional<double> get(const std::string& key) const {
-    return kv_get_fn(key);
-  }
-  double get_or(const std::string& key, double fallback) const {
-    return kv_get_fn(key).value_or(fallback);
-  }
-
   TimePoint now() const { return now_fn(); }
   ProcessId self() const { return self_; }
 
   // Wired by LogicInstance.
   std::function<void(ActuatorId, bool, double, double)> actuate_fn;
   std::function<void(double)> emit_fn;
-  std::function<void(const std::string&, double)> kv_put_fn;
-  std::function<std::optional<double>(const std::string&)> kv_get_fn;
   std::function<TimePoint()> now_fn;
   ProcessId self_{};
 };

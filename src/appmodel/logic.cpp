@@ -128,20 +128,6 @@ void LogicInstance::deliver(OpState& op, std::vector<StreamWindow> ready) {
   TriggerContext ctx;
   ctx.self_ = callbacks_.self;
   ctx.now_fn = [this] { return timers_.now(); };
-  ctx.kv_put_fn = [this](const std::string& key, double value) {
-    if (callbacks_.kv_put) {
-      callbacks_.kv_put(key, value);
-    } else {
-      local_kv_[key] = value;
-    }
-  };
-  ctx.kv_get_fn =
-      [this](const std::string& key) -> std::optional<double> {
-    if (callbacks_.kv_get) return callbacks_.kv_get(key);
-    auto it = local_kv_.find(key);
-    if (it == local_kv_.end()) return std::nullopt;
-    return it->second;
-  };
   ctx.emit_fn = [this, &op](double value) { emit_downstream(op, value); };
   ctx.actuate_fn = [this, &op](ActuatorId actuator, bool tas, double expected,
                                double value) {
@@ -206,11 +192,6 @@ void LogicInstance::clone_state(BinaryWriter& w) const {
       timers_.sim().encode_timer(w, stream.periodic_timer);
     }
   }
-  w.u64(local_kv_.size());
-  for (const auto& [key, value] : local_kv_) {
-    w.str(key);
-    w.f64(value);
-  }
   w.u32(emit_seq_);
   w.u8(started_ ? 1 : 0);
   w.provenance_id(last_cause_);
@@ -251,12 +232,6 @@ void LogicInstance::restore_clone(BinaryReader& r) {
             id, [this, &o = op, &s = stream] { periodic_fire(o, s); });
       }
     }
-  }
-  local_kv_.clear();
-  const std::uint64_t n_kv = r.u64();
-  for (std::uint64_t i = 0; i < n_kv; ++i) {
-    std::string key = r.str();
-    local_kv_[std::move(key)] = r.f64();
   }
   emit_seq_ = r.u32();
   started_ = r.u8() != 0;

@@ -31,10 +31,6 @@ class LogicInstance {
     std::function<void(const ActuatorEdge&, const devices::Command&)>
         command_sink;
     std::function<CommandId()> next_command_id;
-    // Replicated application state (optional; defaults to a local map so
-    // LogicInstance stays usable standalone in tests).
-    std::function<void(const std::string&, double)> kv_put;
-    std::function<std::optional<double>(const std::string&)> kv_get;
     ProcessId self{};
   };
 
@@ -69,8 +65,7 @@ class LogicInstance {
 
   // --- state capture (DESIGN.md §13) ---------------------------------
   // The full live engine: window buffers, pending trigger windows,
-  // periodic timers, local KV, sequence counters and provenance cursors.
-  // Restore
+  // periodic timers, sequence counters and provenance cursors. Restore
   // targets a freshly constructed, not-started instance built from the
   // same graph; start() afterwards is a no-op.
   void clone_state(BinaryWriter& w) const;
@@ -109,7 +104,6 @@ class LogicInstance {
   const AppGraph* graph_;
   sim::ProcessTimers timers_;
   Callbacks callbacks_;
-  std::map<std::string, double> local_kv_;  // fallback when no store wired
   std::map<std::string, OpState> ops_;  // by operator name
   StalenessHandler staleness_handler_;
   std::uint32_t emit_seq_{1};

@@ -28,7 +28,7 @@ namespace riv::checkpoint {
 // Bumped whenever the container layout or any section payload changes
 // incompatibly. A reader only accepts its own version: checkpoints are
 // build-coupled by design (they attest behaviour, not archive data).
-inline constexpr std::uint32_t kRivcVersion = 3;
+inline constexpr std::uint32_t kRivcVersion = 4;
 
 struct Section {
   std::string name;
@@ -59,7 +59,7 @@ std::vector<std::byte> encode(const Snapshot& snap);
 // Decode; returns false and sets *error on any malformed input. Error
 // strings are pinned (test_checkpoint_fuzz):
 //   "not a RIVC checkpoint (bad magic)"
-//   "unsupported checkpoint version N (this build reads 3)"
+//   "unsupported checkpoint version N (this build reads 4)"
 //   "truncated checkpoint"
 //   "checkpoint footer hash mismatch"
 //   "trailing bytes after checkpoint footer"

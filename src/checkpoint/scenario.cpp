@@ -1,5 +1,7 @@
 #include "checkpoint/scenario.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <optional>
 #include <utility>
 
@@ -299,8 +301,10 @@ bool decode_chaos_params(const std::vector<std::byte>& params,
   BinaryReader r(params);
   chaos::EngineOptions o;
   o.scenario.seed = r.u64();
-  o.scenario.guarantee = static_cast<appmodel::Guarantee>(r.u8());
-  o.scenario.n_processes = static_cast<int>(r.u32());
+  const std::uint8_t guarantee = r.u8();
+  const std::uint32_t n_processes = r.u32();
+  o.scenario.guarantee = static_cast<appmodel::Guarantee>(guarantee);
+  o.scenario.n_processes = static_cast<int>(n_processes);
   o.scenario.receivers = static_cast<int>(r.u32());
   o.scenario.device_link_loss = r.f64();
   o.scenario.rate_hz = r.f64();
@@ -329,7 +333,24 @@ bool decode_chaos_params(const std::vector<std::byte>& params,
   o.metrics_period = r.duration();
   o.byzantine_defense = r.u8() != 0;
   o.defer_plan = r.u8() != 0;
-  if (!r.ok() || !r.at_end()) {
+  // A well-framed blob can still name a scenario the engine cannot build
+  // (an unknown guarantee, no processes, more than ProcessId holds, a
+  // sensor rate that is not positive, a zero check interval that never
+  // lets virtual time advance) or one it would build wrongly (a loss
+  // outside [0, 1], a negative time).
+  auto probability = [](double p) { return p >= 0.0 && p <= 1.0; };
+  const bool valid =
+      guarantee <= static_cast<std::uint8_t>(appmodel::Guarantee::kGapless) &&
+      n_processes >= 1 && n_processes <= 0xffff &&
+      o.scenario.receivers >= 1 && probability(o.scenario.device_link_loss) &&
+      o.scenario.rate_hz > 0.0 && std::isfinite(o.scenario.rate_hz) &&
+      probability(o.plan.max_edge_loss) &&
+      probability(o.plan.max_device_link_loss) &&
+      o.check_interval > Duration{} &&
+      std::min({o.plan.horizon, o.plan.mean_gap, o.plan.quiesce_every,
+                o.plan.quiesce_len, o.plan.max_fault_hold,
+                o.plan.max_delay_spike, o.metrics_period}) >= Duration{};
+  if (!r.ok() || !r.at_end() || !valid) {
     if (error != nullptr) *error = "bad chaos-scenario params blob";
     return false;
   }

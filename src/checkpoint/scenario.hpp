@@ -91,6 +91,8 @@ std::unique_ptr<Scenario> make_chaos_scenario(chaos::EngineOptions opt);
 std::unique_ptr<Scenario> scenario_from_snapshot(const Snapshot& snap,
                                                  std::string* error);
 
+// decode_chaos_params refuses ("bad chaos-scenario params blob") a
+// malformed blob and one naming a scenario the engine cannot build.
 std::vector<std::byte> encode_chaos_params(const chaos::EngineOptions& opt);
 bool decode_chaos_params(const std::vector<std::byte>& params,
                          chaos::EngineOptions* out, std::string* error);

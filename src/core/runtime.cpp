@@ -104,15 +104,9 @@ void RivuletProcess::teardown_state() {
   // Logic instances and streams own no timers beyond timers_ /
   // their LogicInstance-internal ones; destroying them cancels everything.
   apps_.clear();
-  kv_.reset();
   fd_.reset();
   timers_.reset();
   periodic_ = nullptr;
-}
-
-store::ReplicatedStore& RivuletProcess::kv() {
-  RIV_ASSERT(kv_ != nullptr, "kv() on a crashed process");
-  return *kv_;
 }
 
 void RivuletProcess::build_state() {
@@ -123,7 +117,6 @@ void RivuletProcess::build_state() {
   for (auto& [id, app] : apps_) app.log->recover();
 
   fd_->start();
-  kv_->start();
   for (auto& [id, app] : apps_) {
     for (auto& [sensor, stream] : app.streams) {
       if (stream.gapless) stream.gapless->start();
@@ -149,22 +142,6 @@ void RivuletProcess::build_volatile_shell() {
   fd_->set_payload_handler([this](ProcessId from, BinaryReader& r) {
     on_keepalive_payload(from, r);
   });
-
-  store::ReplicatedStore::Hooks kv_hooks;
-  kv_hooks.self = self_;
-  kv_hooks.send = [this](ProcessId dst, bool is_sync,
-                         std::vector<std::byte> payload) {
-    net_->endpoint(self_).send(
-        dst, is_sync ? net::MsgType::kStoreSync : net::MsgType::kStorePut,
-        std::move(payload));
-  };
-  kv_hooks.view = [this]() -> const std::set<ProcessId>& {
-    return fd_->view();
-  };
-  kv_hooks.timers = timers_.get();
-  kv_hooks.stable = &store_;
-  kv_hooks.sync_period = config_.sync_period;
-  kv_ = std::make_unique<store::ReplicatedStore>(std::move(kv_hooks));
 
   apps_.clear();
   // Chains are computed in deploy order with a running load count, so the
@@ -418,12 +395,6 @@ void RivuletProcess::on_message(const net::Message& msg) {
       if (ait != apps_.end()) ait->second.pending_commands.erase(ack.command);
       return;
     }
-    case net::MsgType::kStorePut:
-      kv_->on_update(msg.payload);
-      return;
-    case net::MsgType::kStoreSync:
-      kv_->on_sync(msg.payload);
-      return;
     case net::MsgType::kPromote:
       handle_role_change(msg, /*promote=*/true);
       return;
@@ -508,10 +479,6 @@ void RivuletProcess::make_logic(AppId id, AppState& app) {
   cb.next_command_id = [this] {
     return CommandId{self_, next_cmd_seq_++};
   };
-  cb.kv_put = [this](const std::string& key, double value) {
-    kv_->put(key, value);
-  };
-  cb.kv_get = [this](const std::string& key) { return kv_->get(key); };
   cb.command_sink = [this, id, &app](const appmodel::ActuatorEdge& edge,
                                      const devices::Command& cmd) {
     route_command(id, app, edge, cmd);
@@ -890,12 +857,11 @@ void RivuletProcess::clone_state(BinaryWriter& w) const {
     for (std::uint32_t s : seqs) w.u32(s);
   }
   // Volatile state exists exactly while the process is up.
-  RIV_ASSERT(up_ == (fd_ != nullptr && kv_ != nullptr),
+  RIV_ASSERT(up_ == (fd_ != nullptr),
              "volatile runtime state out of step with liveness");
   if (!up_) return;
 
   fd_->clone_state(w);
-  kv_->clone_state(w);
   w.u64(apps_.size());
   for (const auto& [id, app] : apps_) {
     w.app_id(id);
@@ -954,7 +920,6 @@ void RivuletProcess::restore_clone(BinaryReader& r) {
 
   build_volatile_shell();
   fd_->restore_clone(r);
-  kv_->restore_clone(r);
   const std::uint64_t n_apps = r.u64();
   RIV_ASSERT(n_apps == apps_.size(), "clone restore: app count mismatch");
   for (auto& [id, app] : apps_) {

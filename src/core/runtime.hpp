@@ -33,7 +33,6 @@
 #include "metrics/metrics.hpp"
 #include "net/sim_network.hpp"
 #include "sim/stable_store.hpp"
-#include "store/replicated_store.hpp"
 
 namespace riv::core {
 
@@ -74,19 +73,16 @@ class RivuletProcess {
   bool device_seq_seen(SensorId sensor, std::uint32_t seq) const;
   std::size_t device_seqs_seen_count(SensorId sensor) const;
   sim::StableStore& store() { return store_; }
-  // Replicated application state shared by every app on this process
-  // (extension; trigger handlers reach it via TriggerContext::put/get).
-  store::ReplicatedStore& kv();
 
   // --- state capture (DESIGN.md §13) ---------------------------------
   // The complete live runtime — stable store, per-origin sequence
-  // history, membership, replicated KV, every app's log/delivery/
-  // execution/actuation state, every pending timer and in-flight protocol
-  // artifact. restore_clone() rebuilds it directly into a freshly
-  // constructed, never-started process: the
-  // volatile shell (detector, KV, streams, logic) is re-wired exactly as
-  // build_state() would, then each component restores its own data and
-  // timers. No messages are sent and no fresh timers are scheduled.
+  // history, membership, every app's log/delivery/execution/actuation
+  // state, every pending timer and in-flight protocol artifact.
+  // restore_clone() rebuilds it directly into a freshly constructed,
+  // never-started process: the volatile shell (detector, streams, logic)
+  // is re-wired exactly as build_state() would, then each component
+  // restores its own data and timers. No messages are sent and no fresh
+  // timers are scheduled.
   void clone_state(BinaryWriter& w) const;
   void restore_clone(BinaryReader& r);
 
@@ -207,7 +203,6 @@ class RivuletProcess {
   // Volatile state, torn down on crash.
   std::unique_ptr<sim::ProcessTimers> timers_;
   std::unique_ptr<membership::FailureDetector> fd_;
-  std::unique_ptr<store::ReplicatedStore> kv_;
   std::map<AppId, AppState> apps_;
   // Lazily resolved "ingest.pX.sY" counters, one per sensor: device ingest
   // is per-event-hot and must not rebuild the counter name each time.

@@ -135,7 +135,6 @@ class Sensor {
   // attacks). Disarmed sensors emit with chain == mac == 0 and keep no
   // window, so the default path is untouched.
   void enable_integrity(std::uint64_t key);
-  bool integrity_enabled() const { return integrity_; }
   const std::vector<SensorEvent>& recent_events() const { return recent_; }
 
   // Statistics.
@@ -143,7 +142,6 @@ class Sensor {
   std::uint64_t polls_received() const { return polls_received_; }
   std::uint64_t polls_dropped() const { return polls_dropped_; }
   std::uint64_t polls_served() const { return polls_served_; }
-  std::uint64_t battery_drain() const { return polls_received_; }
 
   // --- state capture (DESIGN.md §13) ---------------------------------
   // RNG stream, links, emission cursor, integrity key, chain and replay

@@ -26,8 +26,6 @@ enum class MsgType : std::uint8_t {
   kPromote = 8,       // logic-node promotion notification (§5)
   kDemote = 9,        // logic-node demotion notification (§5)
   kCommandAck = 10,   // actuator-bearing peer confirms a Gapless command
-  kStorePut = 11,     // replicated-store single-entry update (extension)
-  kStoreSync = 12,    // replicated-store anti-entropy batch (extension)
 };
 
 inline const char* to_string(MsgType t) {
@@ -42,8 +40,6 @@ inline const char* to_string(MsgType t) {
     case MsgType::kPromote: return "promote";
     case MsgType::kDemote: return "demote";
     case MsgType::kCommandAck: return "command_ack";
-    case MsgType::kStorePut: return "store_put";
-    case MsgType::kStoreSync: return "store_sync";
   }
   return "unknown";
 }

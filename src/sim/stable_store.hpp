@@ -8,8 +8,7 @@
 // not.
 //
 // Event logs reach the store only at a crash (their durable form, erased
-// again on recovery); the replicated KV writes through on every put. The
-// index is a hash map — O(1) amortized put/get instead of a red-black-tree
+// again on recovery). The index is a hash map — O(1) amortized put/get instead of a red-black-tree
 // walk per key — and put() moves both key and value. keys_with_prefix()
 // sorts its (small, recovery-time-only) result so scan order stays
 // lexicographic and deterministic like an ordered map.

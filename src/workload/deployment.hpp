@@ -46,7 +46,6 @@ class HomeDeployment {
 
   // Install an app on every process.
   void deploy(appmodel::AppGraph graph);
-  const std::vector<AppId>& deployed_apps() const { return deployed_apps_; }
 
   // Start all Rivulet processes and all push sensors.
   void start();

@@ -181,8 +181,8 @@ TEST(AnalyzerOutputPin, AttackedRuns) {
   ASSERT_TRUE(r9.flight != nullptr);
   ASSERT_GT(r9.byzantine_attacks, 0u);
   expect_digests(r9.flight->records(),
-                 {"0090a0786c3ca078", "f9993e57aa2b573c", "db894dcb15ef9b3f",
-                  "3b01d71afe6dffa1"},
+                 {"2689f1960ec8ddc3", "51cbdd597ce8e457", "f8b30602e2c13e84",
+                  "0a95464fc26e7266"},
                  "seed 9");
 
   chaos::EngineOptions opt = byzantine_options(1);
@@ -191,8 +191,8 @@ TEST(AnalyzerOutputPin, AttackedRuns) {
   ASSERT_TRUE(r1.flight != nullptr);
   ASSERT_GT(r1.byzantine_attacks, 0u);
   expect_digests(r1.flight->records(),
-                 {"833413b0a4089639", "2f932a159ebdaa2d", "9de3c430c3d143ca",
-                  "c0e525e432562e12"},
+                 {"45c930078285876a", "8b89232887236f94", "16eafcfbd352a1a9",
+                  "9a6b9b90e1512c0f"},
                  "seed 1 with crashes");
 }
 

@@ -3,13 +3,18 @@
 // The decoder guards every restore and every riv_replay invocation, so it
 // must reject — never crash on — arbitrary input, every strict prefix of
 // a valid checkpoint, every single-byte mutation, and any version it does
-// not speak (with the exact pinned message tools print to users).
+// not speak (with the exact pinned message tools print to users). The
+// chaos scenario's params blob is checked the same way: a well-framed
+// blob naming a scenario the engine cannot build is refused, not run.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "checkpoint/rivc.hpp"
+#include "checkpoint/scenario.hpp"
 #include "common/codec.hpp"
 #include "common/hash.hpp"
 #include "common/rng.hpp"
@@ -108,11 +113,12 @@ TEST(CheckpointFuzz, TrailingBytesAreRejected) {
 // string a user sees when feeding a checkpoint from another format to
 // this build — and must be detected before the footer check, so the
 // message names the version instead of a useless hash mismatch. Versions
-// 1 (separate checkpoint encoders, no timers in the component sections)
-// and 2 (up processes' stores carrying a written-through copy of each
-// event log) are earlier formats and must be refused like any other.
+// 1 (separate checkpoint encoders, no timers in the component sections),
+// 2 (up processes' stores carrying a written-through copy of each event
+// log) and 3 (process sections carrying replicated-store state) are
+// earlier formats and must be refused like any other.
 TEST(CheckpointFuzz, WrongVersionsPinnedMessage) {
-  for (std::uint32_t version : {0u, 1u, 2u, 7u, 0xffffffffu}) {
+  for (std::uint32_t version : {0u, 1u, 2u, 3u, 7u, 0xffffffffu}) {
     // Re-encode with a patched version field and a recomputed (valid)
     // footer, so the version check alone rejects the file.
     std::vector<std::byte> wire = checkpoint::encode(sample_snapshot());
@@ -131,7 +137,7 @@ TEST(CheckpointFuzz, WrongVersionsPinnedMessage) {
     std::string err;
     EXPECT_FALSE(checkpoint::decode(wire, &out, &err));
     EXPECT_EQ(err, "unsupported checkpoint version " +
-                       std::to_string(version) + " (this build reads 3)");
+                       std::to_string(version) + " (this build reads 4)");
   }
 }
 
@@ -180,6 +186,90 @@ TEST(CheckpointFuzz, MagicPrefixedSoupNeverDecodes) {
     EXPECT_FALSE(checkpoint::decode(soup, &out, &err));
     EXPECT_TRUE(is_pinned_error(err)) << err;
   }
+}
+
+TEST(CheckpointFuzz, ChaosParamsRoundTrip) {
+  chaos::EngineOptions opt;
+  opt.scenario.seed = 9;
+  opt.scenario.guarantee = appmodel::Guarantee::kGap;
+  chaos::EngineOptions back;
+  std::string err;
+  ASSERT_TRUE(checkpoint::decode_chaos_params(
+      checkpoint::encode_chaos_params(opt), &back, &err))
+      << err;
+  EXPECT_EQ(checkpoint::encode_chaos_params(back),
+            checkpoint::encode_chaos_params(opt));
+}
+
+// Each field the engine would assert on, wrap, spin on or misread is
+// rejected with the pinned message, and restore() then builds no scenario
+// (the tools map that to exit 2) instead of aborting, hanging or failing
+// attestation.
+TEST(CheckpointFuzz, ChaosParamsRejectEachBadField) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::function<void(chaos::EngineOptions&)>> bad = {
+      [](auto& o) { o.scenario.guarantee = appmodel::Guarantee{2}; },
+      [](auto& o) { o.scenario.guarantee = appmodel::Guarantee{7}; },
+      [](auto& o) { o.scenario.n_processes = 0; },
+      [](auto& o) { o.scenario.n_processes = 65536; },
+      [](auto& o) { o.scenario.n_processes = -1; },
+      [](auto& o) { o.scenario.receivers = 0; },
+      [](auto& o) { o.scenario.receivers = -3; },
+      [](auto& o) { o.scenario.device_link_loss = -0.1; },
+      [](auto& o) { o.scenario.device_link_loss = 1.5; },
+      [nan](auto& o) { o.scenario.device_link_loss = nan; },
+      [](auto& o) { o.scenario.rate_hz = 0.0; },
+      [](auto& o) { o.scenario.rate_hz = -2.0; },
+      [nan](auto& o) { o.scenario.rate_hz = nan; },
+      [](auto& o) {
+        o.scenario.rate_hz = std::numeric_limits<double>::infinity();
+      },
+      [](auto& o) { o.plan.max_edge_loss = 2.0; },
+      [nan](auto& o) { o.plan.max_edge_loss = nan; },
+      [](auto& o) { o.plan.max_device_link_loss = -1.0; },
+      [](auto& o) { o.plan.horizon = seconds(-1); },
+      [](auto& o) { o.plan.mean_gap = microseconds(-1); },
+      [](auto& o) { o.plan.quiesce_every = seconds(-5); },
+      [](auto& o) { o.plan.quiesce_len = seconds(-5); },
+      [](auto& o) { o.plan.max_fault_hold = seconds(-2); },
+      [](auto& o) { o.plan.max_delay_spike = seconds(-2); },
+      [](auto& o) { o.check_interval = microseconds(-100); },
+      [](auto& o) { o.check_interval = Duration{}; },
+      [](auto& o) { o.metrics_period = seconds(-1); },
+  };
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    SCOPED_TRACE("bad field #" + std::to_string(i));
+    chaos::EngineOptions opt;
+    bad[i](opt);
+    checkpoint::Snapshot snap;
+    snap.scenario = "chaos";
+    snap.params = checkpoint::encode_chaos_params(opt);
+    chaos::EngineOptions out;
+    std::string err;
+    EXPECT_FALSE(checkpoint::decode_chaos_params(snap.params, &out, &err));
+    EXPECT_EQ(err, "bad chaos-scenario params blob");
+
+    checkpoint::RestoreReport rep = checkpoint::restore(snap);
+    EXPECT_FALSE(rep.ok);
+    EXPECT_EQ(rep.scenario, nullptr);
+    EXPECT_EQ(rep.error, "bad chaos-scenario params blob");
+  }
+  // The edges of each accepted range still decode.
+  chaos::EngineOptions edge;
+  edge.scenario.n_processes = 1;
+  edge.scenario.receivers = 1;
+  edge.scenario.device_link_loss = 1.0;
+  edge.plan.max_edge_loss = 0.0;
+  edge.plan.mean_gap = Duration{};
+  chaos::EngineOptions out;
+  std::string err;
+  EXPECT_TRUE(checkpoint::decode_chaos_params(
+      checkpoint::encode_chaos_params(edge), &out, &err))
+      << err;
+  edge.scenario.n_processes = 65535;
+  EXPECT_TRUE(checkpoint::decode_chaos_params(
+      checkpoint::encode_chaos_params(edge), &out, &err))
+      << err;
 }
 
 }  // namespace

@@ -11,18 +11,14 @@
 //
 // Exit status: 0 clean; 1 invariant violation / determinism mismatch /
 // failed drain; 2 usage error.
-#include <atomic>
-#include <condition_variable>
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <memory>
-#include <mutex>
-#include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "chaos/engine.hpp"
@@ -459,7 +455,8 @@ int run_from_checkpoint(const CliOptions& cli) {
   checkpoint::RestoreReport rep = checkpoint::restore(snap);
   if (!rep.ok) {
     std::fprintf(stderr, "restore FAILED: %s\n", rep.error.c_str());
-    return 1;
+    // No scenario means the file named one this build cannot rebuild.
+    return rep.scenario != nullptr ? 1 : 2;
   }
   std::printf("restore attested: all sections byte-identical "
               "(restored ≡ uninterrupted)\n");
@@ -636,8 +633,11 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (cli.procs < 1 || cli.receivers < 1 || cli.duration_s < 1 ||
-      cli.jobs < 1) {
+  // The ranges decode_chaos_params accepts, so every checkpoint this run
+  // writes can be restored.
+  if (cli.procs < 1 || cli.procs > 0xffff || cli.receivers < 1 ||
+      !(cli.loss >= 0.0 && cli.loss <= 1.0) || cli.duration_s < 1 ||
+      cli.check_interval_ms < 1 || cli.jobs < 1) {
     std::fprintf(stderr, "bad scenario parameters\n");
     return 2;
   }
@@ -653,51 +653,20 @@ int main(int argc, char** argv) {
 
   const std::vector<std::uint64_t>& seeds = cli.seeds;
 
+  // Seeds run in windows of --jobs. parallel_map spreads one window over
+  // the WorkerPool; each simulation is fully self-contained (own Rng,
+  // clock, metrics, thread-local trace scope), so concurrent runs produce
+  // exactly the serial per-seed results. The window's outcomes then print
+  // in seed order, keeping the output byte-identical to --jobs 1, and at
+  // most one window of outcomes (flight traces included) is held at once.
   std::uint64_t failures = 0;
-  if (cli.jobs == 1 || seeds.size() == 1) {
-    for (std::uint64_t seed : seeds) {
-      if (report_outcome(cli, run_seed(cli, seed))) ++failures;
-    }
-  } else {
-    // Worker threads claim seeds in order; each simulation is fully
-    // self-contained (own Rng, clock, metrics, thread-local trace scope),
-    // so concurrent runs produce exactly the serial per-seed results. The
-    // main thread reports outcome i only after outcomes 0..i-1, keeping
-    // the output byte-identical to --jobs 1.
-    std::mutex mu;
-    std::condition_variable cv;
-    std::vector<std::optional<SeedOutcome>> done(seeds.size());
-    std::atomic<std::size_t> next{0};
-    std::vector<std::thread> pool;
-    const std::size_t n_workers =
-        std::min<std::size_t>(static_cast<std::size_t>(cli.jobs),
-                              seeds.size());
-    pool.reserve(n_workers);
-    for (std::size_t w = 0; w < n_workers; ++w) {
-      pool.emplace_back([&] {
-        for (;;) {
-          std::size_t i = next.fetch_add(1);
-          if (i >= seeds.size()) return;
-          SeedOutcome o = run_seed(cli, seeds[i]);
-          {
-            std::lock_guard<std::mutex> lock(mu);
-            done[i] = std::move(o);
-          }
-          cv.notify_one();
-        }
-      });
-    }
-    for (std::size_t i = 0; i < seeds.size(); ++i) {
-      SeedOutcome o;
-      {
-        std::unique_lock<std::mutex> lock(mu);
-        cv.wait(lock, [&] { return done[i].has_value(); });
-        o = std::move(*done[i]);
-        done[i].reset();
-      }
+  const std::size_t window = static_cast<std::size_t>(cli.jobs);
+  for (std::size_t begin = 0; begin < seeds.size(); begin += window) {
+    const std::vector<SeedOutcome> outcomes = parallel_map<SeedOutcome>(
+        cli.jobs, std::min(window, seeds.size() - begin),
+        [&](std::size_t i) { return run_seed(cli, seeds[begin + i]); });
+    for (const SeedOutcome& o : outcomes)
       if (report_outcome(cli, o)) ++failures;
-    }
-    for (std::thread& t : pool) t.join();
   }
   const std::uint64_t total = seeds.size();
 

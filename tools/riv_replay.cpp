@@ -128,7 +128,8 @@ int main(int argc, char** argv) {
     checkpoint::RestoreReport rep = checkpoint::restore(snap);
     if (!rep.ok) {
       std::fprintf(stderr, "restore FAILED: %s\n", rep.error.c_str());
-      return 1;
+      // No scenario means the file named one this build cannot rebuild.
+      return rep.scenario != nullptr ? 1 : 2;
     }
     std::printf("restore attested: all sections byte-identical\n");
     if (target < snap.at)
